@@ -2,8 +2,9 @@
 """Certify a batch of random affine instances and summarize the outcomes.
 
 Useful for eyeballing how often random objectives admit certificates, how
-the branch count scales, and whether the enumeration oracle ever disagrees
-with the constructive pipeline (it must not, on certified instances).
+the branch count scales, how many branch LPs coverage and the early exit
+save, and whether the enumeration oracle ever disagrees with the
+constructive pipeline (it must not, on certified instances).
 
 Example:
     python scripts/random_certify_experiment.py --count 100 --seed 3 --oracle
@@ -42,6 +43,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     verdicts = Counter()
+    statuses = Counter()
     disagreements = 0
     start = time.perf_counter()
     for trial in range(args.count):
@@ -60,6 +62,7 @@ def main() -> int:
         data = evaluate_affine(inst, np.zeros(inst.n))
         verdict = certify_m_stationarity(data)
         verdicts[verdict.kind.value] += 1
+        statuses.update(rec.status for rec in verdict.branch_table)
         if args.oracle and verdict.kind in (VerdictKind.M, VerdictKind.S):
             sets = classify_indices(data)
             exists, _ = oracle_m_exists(data, sets)
@@ -73,6 +76,9 @@ def main() -> int:
     print(f"instances: {args.count}  (objective={args.objective}, seed={args.seed})")
     for kind, count in sorted(verdicts.items()):
         print(f"  {kind:>18}: {count}")
+    solved = statuses["optimal"] + statuses["infeasible"]
+    print(f"branch LPs: {solved} solved, {statuses['covered']} covered, "
+          f"{statuses['not-evaluated']} not evaluated")
     if args.oracle:
         print(f"  oracle disagreements: {disagreements}")
     print(f"elapsed: {elapsed:.2f}s ({1000 * elapsed / args.count:.1f} ms/instance)")

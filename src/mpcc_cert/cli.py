@@ -31,6 +31,7 @@ from .model import Tolerances, check_feasibility, classify_indices
 from .oracle import oracle_m_exists
 from .problemfile import load_multipliers, load_problem
 from .report import (
+    SCHEMA_VERSION,
     certificate_report,
     check_report,
     classify_report,
@@ -106,7 +107,7 @@ def _cmd_classify(args) -> int:
     tol = _merge_tolerances(problem.tolerances, args)
     feas = check_feasibility(problem.data, tol)
     if not feas.feasible:
-        doc = {"schema_version": 1, "feasibility": feasibility_to_dict(feas)}
+        doc = {"schema_version": SCHEMA_VERSION, "feasibility": feasibility_to_dict(feas)}
         if args.json:
             print(json.dumps(doc, indent=2))
         else:

@@ -1,9 +1,11 @@
 """Certificate reports: stable machine-readable dicts plus text rendering.
 
-The JSON schema is versioned via ``schema_version`` (currently 1).  Field
-order and branch-table ordering (lexicographic in the assignment) are
-fixed so repeated runs are byte-identical apart from the timing block,
-which is always appended last.
+The JSON schema is versioned via ``schema_version`` (currently 2, which
+added the "covered" and "not-evaluated" branch statuses and zero
+combiner weights on repeated branch points).  Field order and
+branch-table ordering (lexicographic in the assignment) are fixed so
+repeated runs are byte-identical apart from the timing block, which is
+always appended last.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .model import FeasibilityReport, IndexSets, MultiplierVector, Tolerances
 from .problemfile import multipliers_to_dict
 from .stationarity import StationarityVerdict, VerdictKind
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _one_based(indices) -> list:

@@ -474,7 +474,10 @@ def min_norm_point(prob: MinNormProblem, tol: float = DEFAULT_SOLVER_TOL,
     are followed to the nearest blocking constraint, Newton steps otherwise.
 
     Returns None when the constrained polytope is empty; the minimizing
-    point is unique whenever it exists, the weights need not be.
+    point is unique whenever it exists, the weights need not be.  Raises
+    :class:`NumericalFailure` rather than return weights without a
+    positive finite sum, or a point whose constrained coordinates fall
+    below ``-tol * (1 + max|V|)``.
     """
     V = prob.vertices
     k, dim = V.shape
@@ -661,6 +664,15 @@ def min_norm_point(prob: MinNormProblem, tol: float = DEFAULT_SOLVER_TOL,
         raise NumericalFailure("active-set iteration cap exceeded")
 
     w = np.maximum(w, 0.0)
-    w /= w.sum()
+    total = w.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise NumericalFailure("active-set iteration ended without a positive weight")
+    w /= total
     point = V.T @ w
+    if prob.sign_constraints:
+        worst = float(point[list(prob.sign_constraints)].min())
+        if worst < -tol * (1.0 + np.abs(V).max(initial=0.0)):
+            raise NumericalFailure(
+                f"min-norm point leaves its sign region (coordinate value {worst:.3g})"
+            )
     return MinNormResult(point=point, weights=w, norm_sq=float(point @ point))

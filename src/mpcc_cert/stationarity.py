@@ -1,7 +1,9 @@
 """Stationarity checkers, branch multiplier synthesis, and the certifier.
 
-The pipeline: classify the active structure, solve one polar-membership
-LP per branch of the biactive set, then select a convex combination of
+The pipeline: classify the active structure, find a polar-membership
+point for every branch of the biactive set (one LP per branch that no
+earlier branch's point covers, stopping at the first infeasible one),
+then select a convex combination of
 the branch multipliers whose biactive pairs satisfy the M-condition
 "(mu_i > 0 and nu_i > 0) or mu_i nu_i = 0".  The selection rule (take,
 among the per-branch minimum-norm points of the multiplier hull, one of
@@ -25,7 +27,6 @@ from .cones import (
 from .errors import (
     BranchBudgetExceeded,
     DimensionMismatch,
-    InfeasiblePoint,
     NumericalFailure,
     PostconditionViolated,
     SystemViolated,
@@ -35,7 +36,7 @@ from .model import (
     IndexSets,
     MultiplierVector,
     Tolerances,
-    check_feasibility,
+    check_feasibility,  # noqa: F401  (re-exported; certbench/tracing.py wraps this binding)
     classify_indices,
 )
 from .solvers import MinNormProblem, min_norm_point
@@ -198,6 +199,13 @@ def synthesize_branch_multipliers(data: FirstOrderData, sets: IndexSets,
     return polar_branch_membership(cone, alpha, -data.grad_f, tol.solver_tol)
 
 
+def _sign_columns(alphas: Sequence[BranchAssignment], bi: List[int], p: int) -> np.ndarray:
+    """Per assignment and biactive index, the (mu, nu) coordinate its sign row bounds."""
+    cols = np.array(bi, dtype=int)
+    choices = np.array([alpha.choices for alpha in alphas], dtype=int)[:, cols]
+    return np.where(choices == 1, cols, p + cols)
+
+
 @dataclass(frozen=True, eq=False)
 class CombineResult:
     """Combined multiplier plus the selection trace that produced it."""
@@ -219,6 +227,12 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
     only); the branch attaining the maximal minimum norm wins, ties broken
     by lexicographically smallest assignment.  The winner's weights are
     applied to the full (lambda, eta, mu, nu) vectors.
+
+    Exactly equal inputs are collapsed before the hull is built, which
+    leaves the hull unchanged; a repeated input gets weight zero.  A sign
+    row that no input violates holds on the whole hull, so each region's
+    QP is posed over its binding rows only, and regions with the same
+    binding rows share one solve.
 
     Requires exactly one input per assignment of the biactive indices,
     each lying in its own sign region within ``cert_tol``.  The output is
@@ -247,30 +261,40 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
         )
     ordered = [by_key[key] for key in sorted(by_key)]
 
-    ct = tol.cert_tol
-    for mult, alpha in ordered:
-        for i in bi:
-            value = mult.mu[i] if alpha.choices[i] == 1 else mult.nu[i]
-            if value < -ct:
-                raise ValueError(
-                    f"input for assignment {alpha.choices} leaves its sign region "
-                    f"at biactive index {i} (value {value:.3g})"
-                )
-
     vertices = np.array([np.concatenate([mult.mu, mult.nu]) for mult, _ in ordered])
     lam_stack = np.array([mult.lam for mult, _ in ordered])
     eta_stack = np.array([mult.eta for mult, _ in ordered])
+    signed = _sign_columns([alpha for _, alpha in ordered], bi, p)
+
+    ct = tol.cert_tol
+    outside = np.argwhere(np.take_along_axis(vertices, signed, axis=1) < -ct)
+    if outside.size:
+        row, col = outside[0]
+        raise ValueError(
+            f"input for assignment {ordered[row][1].choices} leaves its sign region "
+            f"at biactive index {bi[col]} (value {vertices[row, signed[row, col]]:.3g})"
+        )
+
+    # first occurrence of each distinct input, in assignment order
+    full = np.hstack([lam_stack, eta_stack, vertices])
+    distinct = np.sort(np.unique(full, axis=0, return_index=True)[1])
+    hull = vertices[distinct]
+    binding = (hull < 0.0).any(axis=0)
 
     best = None
     norms = []
-    for mult, alpha in ordered:
-        signed = tuple(i if alpha.choices[i] == 1 else p + i for i in bi)
-        result = min_norm_point(MinNormProblem(vertices, signed), tol.solver_tol)
+    solved = {}
+    for (_, alpha), rows in zip(ordered, signed):
+        key = tuple(rows[binding[rows]].tolist())
+        result = solved.get(key)
         if result is None:
-            raise NumericalFailure(
-                f"branch region for assignment {alpha.choices} reported empty; "
-                "its own input point should be feasible"
-            )
+            result = min_norm_point(MinNormProblem(hull, key), tol.solver_tol)
+            if result is None:
+                raise NumericalFailure(
+                    f"branch region for assignment {alpha.choices} reported empty; "
+                    "its own input point should be feasible"
+                )
+            solved[key] = result
         norms.append((alpha, result.norm_sq))
         # near-equal norms count as ties; iteration order is lexicographic,
         # so the smallest assignment wins them
@@ -278,7 +302,8 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
             best = (alpha, result)
 
     beta, chosen = best
-    w = chosen.weights
+    w = np.zeros(len(ordered))
+    w[distinct] = chosen.weights
     combined = MultiplierVector(
         lam=w @ lam_stack if lam_stack.size else np.zeros(0),
         eta=w @ eta_stack if eta_stack.size else np.zeros(0),
@@ -301,8 +326,17 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
 
 @dataclass(frozen=True, eq=False)
 class BranchRecord:
+    """One row of the branch table, in lexicographic assignment order.
+
+    ``status`` is "optimal" (this branch's polar LP was solved),
+    "covered" (an earlier branch's LP point lies in this branch's sign
+    region and serves as its point), "infeasible" (its polar LP has no
+    solution) or "not-evaluated" (after the infeasible branch).
+    ``multiplier_norm`` is the norm of the branch's point, None without one.
+    """
+
     alpha: BranchAssignment
-    status: str  # "optimal" | "infeasible"
+    status: str
     multiplier_norm: Optional[float]
 
 
@@ -329,21 +363,23 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
                            branch_cap: int = 12) -> StationarityVerdict:
     """End-to-end M-stationarity certification at the given point.
 
-    Classifies the active structure, solves one polar LP per branch of the
-    biactive set (assignments outside it are inert, so 2^|biactive|
-    branches suffice), and on full success combines the branch multipliers
-    into an M-witness, upgraded to S when its biactive signs allow.  A
-    single infeasible branch yields a BranchInfeasible verdict naming the
-    lexicographically smallest failing assignment; whether that means "not
-    a local minimizer" or "constraint qualification fails" cannot be told
-    apart from first-order data, so the verdict reports the raw fact.
+    Classifies the active structure (raising :class:`InfeasiblePoint` on an
+    infeasible point), then visits the 2^|biactive| branches of the
+    biactive set in lexicographic order (assignments outside it are inert).
+    A branch whose sign region holds an earlier branch's LP point is
+    covered by it: that point solves the branch's own polar LP, so no LP
+    is solved for it.  Every other branch gets its polar LP.  The first
+    infeasible one ends the visit and yields a BranchInfeasible verdict
+    naming it; as covered branches are feasible, it is the
+    lexicographically smallest failing assignment.  Whether that means
+    "not a local minimizer" or "constraint qualification fails" cannot be
+    told apart from first-order data, so the verdict reports the raw fact.
+    When every branch has a point, the points are combined into an
+    M-witness, upgraded to S when its biactive signs allow.
 
     The returned witness always satisfies the base stationarity system
     within ``cert_tol``.
     """
-    report = check_feasibility(data, tol)
-    if not report.feasible:
-        raise InfeasiblePoint(f"point infeasible: {report.describe_worst()}", report)
     sets = classify_indices(data, tol)
     bi = sorted(sets.zero_zero)
     if len(bi) > branch_cap:
@@ -352,30 +388,38 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
         )
 
     alphas = enumerate_branch_assignments(data.p, bi)
+    signed = _sign_columns(alphas, bi, data.p)
+    owner = np.full(len(alphas), -1)  # index into `found` of each branch's point
+    found: List[MultiplierVector] = []
+    norms: List[float] = []
     table: List[BranchRecord] = []
-    mults: List[Optional[MultiplierVector]] = []
-    for alpha in alphas:
-        mult = synthesize_branch_multipliers(data, sets, alpha, tol)
-        mults.append(mult)
-        if mult is None:
-            table.append(BranchRecord(alpha, "infeasible", None))
-        else:
-            norm = float(np.linalg.norm(np.concatenate([mult.lam, mult.eta, mult.mu, mult.nu])))
-            table.append(BranchRecord(alpha, "optimal", norm))
+    for j, alpha in enumerate(alphas):
+        status = "covered"
+        if owner[j] < 0:
+            mult = synthesize_branch_multipliers(data, sets, alpha, tol)
+            if mult is None:
+                table.append(BranchRecord(alpha, "infeasible", None))
+                table.extend(BranchRecord(a, "not-evaluated", None) for a in alphas[j + 1:])
+                return StationarityVerdict(
+                    kind=VerdictKind.BRANCH_INFEASIBLE,
+                    witness=None,
+                    failed_branch=alpha,
+                    residuals={},
+                    branch_table=tuple(table),
+                    combiner=None,
+                    sets=sets,
+                )
+            # the same sign test min_norm_point uses for a feasible start
+            in_region = (np.concatenate([mult.mu, mult.nu])[signed] >= 0.0).all(axis=1)
+            owner[(owner < 0) & in_region] = len(found)
+            owner[j] = len(found)
+            found.append(mult)
+            norms.append(float(np.linalg.norm(
+                np.concatenate([mult.lam, mult.eta, mult.mu, mult.nu]))))
+            status = "optimal"
+        table.append(BranchRecord(alpha, status, norms[owner[j]]))
 
-    failed = [a for a, mv in zip(alphas, mults) if mv is None]
-    if failed:
-        return StationarityVerdict(
-            kind=VerdictKind.BRANCH_INFEASIBLE,
-            witness=None,
-            failed_branch=failed[0],
-            residuals={},
-            branch_table=tuple(table),
-            combiner=None,
-            sets=sets,
-        )
-
-    combine = schinabeck_combine(list(zip(mults, alphas)), bi, tol)
+    combine = schinabeck_combine([(found[k], alpha) for k, alpha in zip(owner, alphas)], bi, tol)
     witness = combine.multiplier
     residual_report = check_stationarity_system(data, sets, witness)
     if not residual_report.system_ok(tol.cert_tol):

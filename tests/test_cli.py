@@ -88,6 +88,8 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 2
         out = capsys.readouterr().out
         assert "complementarity" in out
+        assert main(["classify", path, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["schema_version"] == 2
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = write_json(tmp_path, "typo.json", {
@@ -101,7 +103,7 @@ class TestCertifyCommand:
     def test_s_certificate_exit_zero(self, capsys):
         assert main(["certify", f"{PROBLEMS}/bilinear_min.json", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["verdict"] == "S"
         assert doc["witness"]["mu"] == pytest.approx([1.0], abs=1e-9)
         assert doc["witness"]["nu"] == pytest.approx([1.0], abs=1e-9)

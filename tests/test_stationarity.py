@@ -11,8 +11,10 @@ from mpcc_cert import (
     BranchBudgetExceeded,
     FirstOrderData,
     InfeasiblePoint,
+    MinNormProblem,
     MultiplierClass,
     MultiplierVector,
+    NumericalFailure,
     SystemViolated,
     Tolerances,
     VerdictKind,
@@ -20,7 +22,9 @@ from mpcc_cert import (
     check_stationarity_system,
     classify_indices,
     classify_multiplier,
+    enumerate_branch_assignments,
     evaluate_affine,
+    min_norm_point,
     schinabeck_combine,
     synthesize_branch_multipliers,
 )
@@ -37,6 +41,32 @@ def pair_sets(data):
 def mv(p, mu, nu, lam=(), eta=()):
     return MultiplierVector(np.asarray(lam, float), np.asarray(eta, float),
                             np.asarray(mu, float), np.asarray(nu, float))
+
+
+def acceptance_mix_data(i):
+    """Problem i of the acceptance-2 mix drawn from default_rng([2002, i]), at x = 0.
+
+    Dimensions are drawn as acceptance test 2 draws them; problems with
+    ``i % 10 < 7`` have seeded objectives.
+    """
+    rng = np.random.default_rng([2002, i])
+    n, l, m, p = (int(rng.integers(2, 7)), int(rng.integers(0, 4)),
+                  int(rng.integers(0, 4)), int(rng.integers(1, 5)))
+    inst = random_affine_instance(rng, n, l, m, p,
+                                  objective="seeded" if i % 10 < 7 else "random")
+    return evaluate_affine(inst, np.zeros(n))
+
+
+def count_lp_solves(monkeypatch):
+    calls = [0]
+    real_lp = mpcc_cert.cones.lp_solve
+
+    def counting_lp(*args, **kwargs):
+        calls[0] += 1
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(mpcc_cert.cones, "lp_solve", counting_lp)
+    return calls
 
 
 class TestCheckSystem:
@@ -217,6 +247,61 @@ class TestCombine:
         assert combined @ combined == pytest.approx(max(norms), abs=1e-7)
         assert all(combined @ combined >= v - 1e-9 for v in norms)
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_points_and_nonbinding_rows(self, seed, p):
+        rng = np.random.default_rng(seed)
+        points = random_branch_points(rng, p)
+        # coordinates kept nonnegative in every point give sign rows that bind nowhere
+        keep = rng.random(2 * p) < 0.3
+        points = [(mv(p, *np.split(np.where(keep, np.abs(v), v), 2)), alpha)
+                  for v, alpha in ((np.concatenate([m.mu, m.nu]), a) for m, a in points)]
+        # reuse an earlier point wherever it lies in the later branch's region
+        for j, (_, alpha) in enumerate(points):
+            for earlier, _ in points[:j]:
+                own = [earlier.mu[i] if alpha.choices[i] == 1 else earlier.nu[i]
+                       for i in range(p)]
+                if min(own) >= 0.0 and rng.random() < 0.7:
+                    points[j] = (earlier, alpha)
+                    break
+        res = schinabeck_combine(points, range(p))
+        assert res.weights.shape == (len(points),)
+        first = {}
+        for j, (m, _) in enumerate(points):
+            if first.setdefault(id(m), j) != j:
+                assert res.weights[j] == 0.0
+        stacked = np.array([np.concatenate([m.mu, m.nu]) for m, _ in points])
+        # the reference hull lists each point once: on repeated vertices the
+        # active-set QP can still stall or leave its region
+        hull = stacked[sorted(first.values())]
+        assert len(res.branch_norms) == len(points)
+        for alpha, norm_sq in res.branch_norms:
+            signed = tuple(i if alpha.choices[i] == 1 else p + i for i in range(p))
+            direct = min_norm_point(MinNormProblem(hull, signed))
+            assert norm_sq == pytest.approx(direct.norm_sq, abs=Tolerances().solver_tol)
+        combined = np.concatenate([res.multiplier.mu, res.multiplier.nu])
+        assert np.abs(res.weights @ stacked - combined).max() <= 1e-7
+
+    @pytest.mark.parametrize("index", [902, 1163, 1617])
+    def test_own_lp_points_pass_or_fail_loudly(self, index):
+        # every branch's own LP point, not the covered set certify passes:
+        # on these inputs the active-set QP once returned NaN weights or a
+        # point outside its region, which surfaced as ValueError or a
+        # misreported postcondition
+        data = acceptance_mix_data(index)
+        sets = classify_indices(data)
+        bi = sorted(sets.zero_zero)
+        points = [(synthesize_branch_multipliers(data, sets, alpha), alpha)
+                  for alpha in enumerate_branch_assignments(data.p, bi)]
+        assert all(m is not None for m, _ in points)
+        try:
+            res = schinabeck_combine(points, bi)
+        except NumericalFailure:
+            return
+        assert np.all(np.isfinite(res.weights))
+        for i in bi:
+            assert m_condition_holds(res.multiplier.mu[i], res.multiplier.nu[i], 1e-7)
+
     def test_tie_breaks_to_lexicographically_smallest(self):
         res = self.combine([
             (np.array([1.0, -1.0]), BranchAssignment((1,))),
@@ -327,6 +412,54 @@ class TestCertify:
         n_biactive = len(verdict.sets.zero_zero)
         assert lp_calls[0] == 2 ** n_biactive
         assert qp_calls[0] <= 2 ** n_biactive
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.sampled_from(["seeded", "random"]))
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_matches_full_enumeration(self, seed, p, objective):
+        rng = np.random.default_rng(seed)
+        inst = random_affine_instance(rng, n=int(rng.integers(2, 7)), l=int(rng.integers(0, 4)),
+                                      m=int(rng.integers(0, 3)), p=p, objective=objective,
+                                      min_biactive=int(rng.integers(1, p + 1)))
+        data = evaluate_affine(inst, np.zeros(inst.n))
+        sets = classify_indices(data)
+        alphas = enumerate_branch_assignments(data.p, sets.zero_zero)
+        failed = next((alpha for alpha in alphas
+                       if synthesize_branch_multipliers(data, sets, alpha) is None), None)
+        verdict = certify_m_stationarity(data)
+        if failed is None:
+            assert verdict.kind in (VerdictKind.M, VerdictKind.S)
+            assert verdict.failed_branch is None
+        else:
+            assert verdict.kind is VerdictKind.BRANCH_INFEASIBLE
+            assert verdict.failed_branch.choices == failed.choices
+        assert [rec.alpha.choices for rec in verdict.branch_table] == [a.choices for a in alphas]
+
+    def test_coverage_saves_branch_lps(self, monkeypatch):
+        lp_calls = count_lp_solves(monkeypatch)
+        inst = random_affine_instance(np.random.default_rng([6, 0]), n=12, l=3, m=1, p=6,
+                                      objective="seeded", min_biactive=6)
+        verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(12)))
+        statuses = [rec.status for rec in verdict.branch_table]
+        assert verdict.kind in (VerdictKind.M, VerdictKind.S)
+        assert len(statuses) == 64
+        assert lp_calls[0] < 64
+        assert lp_calls[0] == statuses.count("optimal")
+        assert set(statuses) == {"optimal", "covered"}
+        assert len(verdict.combiner.weights) == 64
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_lp_after_failed_branch(self, monkeypatch, seed):
+        lp_calls = count_lp_solves(monkeypatch)
+        inst = random_affine_instance(np.random.default_rng([7, seed]), n=14, l=3, m=1, p=7,
+                                      objective="random", min_biactive=7)
+        verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(14)))
+        assert verdict.kind is VerdictKind.BRANCH_INFEASIBLE
+        statuses = [rec.status for rec in verdict.branch_table]
+        at = statuses.index("infeasible")
+        assert verdict.branch_table[at].alpha.choices == verdict.failed_branch.choices
+        assert set(statuses[:at]) <= {"optimal", "covered"}
+        assert statuses[at + 1:] == ["not-evaluated"] * (len(statuses) - at - 1)
+        assert lp_calls[0] == statuses.count("optimal") + 1
 
     def test_determinism(self):
         data = evaluate_affine(m_not_s_instance(), np.zeros(3))
