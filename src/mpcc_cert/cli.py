@@ -13,6 +13,7 @@ Exit codes (per command):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -31,11 +32,9 @@ from .model import Tolerances, check_feasibility, classify_indices
 from .oracle import oracle_m_exists
 from .problemfile import load_multipliers, load_problem
 from .report import (
-    SCHEMA_VERSION,
     certificate_report,
     check_report,
     classify_report,
-    feasibility_to_dict,
     oracle_section,
     render_certificate_text,
     render_check_text,
@@ -83,12 +82,7 @@ def _merge_tolerances(file_tol: Optional[Tolerances], args) -> Tolerances:
         overrides["cert_tol"] = args.tol
     if not overrides:
         return base
-    return Tolerances(
-        active_tol=overrides.get("active_tol", base.active_tol),
-        feas_tol=overrides.get("feas_tol", base.feas_tol),
-        solver_tol=overrides.get("solver_tol", base.solver_tol),
-        cert_tol=overrides.get("cert_tol", base.cert_tol),
-    )
+    return dataclasses.replace(base, **overrides)
 
 
 def _emit(doc: dict, as_json: bool, renderer) -> None:
@@ -106,20 +100,9 @@ def _cmd_classify(args) -> int:
         return EXIT_PARSE
     tol = _merge_tolerances(problem.tolerances, args)
     feas = check_feasibility(problem.data, tol)
-    if not feas.feasible:
-        doc = {"schema_version": SCHEMA_VERSION, "feasibility": feasibility_to_dict(feas)}
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        else:
-            f = doc["feasibility"]
-            print(f"feasible: no (max violation {f['max_violation']:.12g})")
-            if "worst" in f:
-                w = f["worst"]
-                print(f"worst violator: {w['block']}[{w['index']}] = {w['violation']:.12g}")
-        return EXIT_CLASSIFY_INFEASIBLE
-    sets = classify_indices(problem.data, tol)
+    sets = classify_indices(problem.data, tol) if feas.feasible else None
     _emit(classify_report(sets, feas, tol), args.json, render_classify_text)
-    return EXIT_OK
+    return EXIT_OK if feas.feasible else EXIT_CLASSIFY_INFEASIBLE
 
 
 def _cmd_certify(args) -> int:
@@ -161,11 +144,9 @@ def _cmd_certify(args) -> int:
     doc = certificate_report(verdict, tol, osec)
     doc["timing"] = {"seconds": time.perf_counter() - start}
     _emit(doc, args.json, render_certificate_text)
-    if verdict.kind in (VerdictKind.M, VerdictKind.S):
-        return EXIT_OK
     if verdict.kind is VerdictKind.BRANCH_INFEASIBLE:
         return EXIT_BRANCH_INFEASIBLE
-    return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _cmd_check(args) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
 from .model import DEFAULT_SOLVER_TOL, FirstOrderData, IndexSets, MultiplierVector
-from .solvers import LinearProgram, LpStatus, lp_solve
+from .solvers import LinearProgram, LpStatus, _nullspace, lp_solve
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,39 @@ def _check_direction(cone: LinearizedCone, d) -> np.ndarray:
     return d
 
 
+def _common_rows(cone: LinearizedCone):
+    """Rows every branch cone shares: (equalities, <=0 rows).
+
+    The equalities are the h rows, G on I^0+ and H on I^+0; the <=0 rows
+    are g on its active set.
+    """
+    data, sets = cone.data, cone.sets
+    eq_rows = np.vstack([data.grad_h, data.grad_G[sorted(sets.zero_plus)],
+                         data.grad_H[sorted(sets.plus_zero)]])
+    return eq_rows, data.grad_g[sorted(sets.active_g)]
+
+
+def _branch_system(cone: LinearizedCone, alpha: BranchAssignment):
+    """Rows of the branch cone split by sense: (equalities, >=0 rows, <=0 rows).
+
+    The shared rows come first; each biactive index then adds its
+    alpha-pinned slope to the equalities and the other one to the >=0 rows.
+    """
+    data = cone.data
+    eq_rows, leq_rows = _common_rows(cone)
+    bi = sorted(cone.sets.zero_zero)
+    pin_h = np.array([alpha.choices[i] == 1 for i in bi], dtype=bool)[:, None]
+    G, H = data.grad_G[bi], data.grad_H[bi]
+    return (np.vstack([eq_rows, np.where(pin_h, H, G)]),
+            np.where(pin_h, G, H), leq_rows)
+
+
+def _outside(d: np.ndarray, tol: float, eq_rows, geq_rows, leq_rows) -> bool:
+    """True when d breaks a row beyond tol: |r'd| on eq, r'd >= 0, r'd <= 0."""
+    return bool((np.abs(eq_rows @ d) > tol).any() or (geq_rows @ d < -tol).any()
+                or (leq_rows @ d > tol).any())
+
+
 def tmpcclin_contains(cone: LinearizedCone, d, tol: float = DEFAULT_SOLVER_TOL) -> bool:
     """Membership in the complementarity-aware linearized tangent cone.
 
@@ -79,25 +112,12 @@ def tmpcclin_contains(cone: LinearizedCone, d, tol: float = DEFAULT_SOLVER_TOL) 
     a deliberate simple choice over scaling-aware alternatives.
     """
     d = _check_direction(cone, d)
-    data, sets = cone.data, cone.sets
-    for i in sorted(sets.active_g):
-        if data.grad_g[i] @ d > tol:
-            return False
-    for j in range(data.m):
-        if abs(data.grad_h[j] @ d) > tol:
-            return False
-    for i in sorted(sets.zero_plus):
-        if abs(data.grad_G[i] @ d) > tol:
-            return False
-    for i in sorted(sets.plus_zero):
-        if abs(data.grad_H[i] @ d) > tol:
-            return False
-    for i in sorted(sets.zero_zero):
-        sG = data.grad_G[i] @ d
-        sH = data.grad_H[i] @ d
-        if sG < -tol or sH < -tol or abs(sG * sH) > tol:
-            return False
-    return True
+    eq_rows, leq_rows = _common_rows(cone)
+    bi = sorted(cone.sets.zero_zero)
+    G, H = cone.data.grad_G[bi], cone.data.grad_H[bi]
+    if _outside(d, tol, eq_rows, np.vstack([G, H]), leq_rows):
+        return False
+    return not (np.abs((G @ d) * (H @ d)) > tol).any()
 
 
 def branch_cone_contains(cone: LinearizedCone, alpha: BranchAssignment, d,
@@ -109,57 +129,9 @@ def branch_cone_contains(cone: LinearizedCone, alpha: BranchAssignment, d,
     condition redundant and the cone convex.
     """
     d = _check_direction(cone, d)
-    data, sets = cone.data, cone.sets
-    if len(alpha.choices) != data.p:
+    if len(alpha.choices) != cone.data.p:
         raise DimensionMismatch("alpha has wrong length")
-    for i in sorted(sets.active_g):
-        if data.grad_g[i] @ d > tol:
-            return False
-    for j in range(data.m):
-        if abs(data.grad_h[j] @ d) > tol:
-            return False
-    for i in sorted(sets.zero_plus):
-        if abs(data.grad_G[i] @ d) > tol:
-            return False
-    for i in sorted(sets.plus_zero):
-        if abs(data.grad_H[i] @ d) > tol:
-            return False
-    for i in sorted(sets.zero_zero):
-        sG = data.grad_G[i] @ d
-        sH = data.grad_H[i] @ d
-        if alpha.choices[i] == 1:
-            if abs(sH) > tol or sG < -tol:
-                return False
-        else:
-            if abs(sG) > tol or sH < -tol:
-                return False
-    return True
-
-
-def _branch_system(cone: LinearizedCone, alpha: BranchAssignment):
-    """Rows of the branch cone split by sense: (equalities, >=0 rows, <=0 rows)."""
-    data, sets = cone.data, cone.sets
-    eq_rows, geq_rows, leq_rows = [], [], []
-    for j in range(data.m):
-        eq_rows.append(data.grad_h[j])
-    for i in sorted(sets.zero_plus):
-        eq_rows.append(data.grad_G[i])
-    for i in sorted(sets.plus_zero):
-        eq_rows.append(data.grad_H[i])
-    for i in sorted(sets.zero_zero):
-        if alpha.choices[i] == 1:
-            eq_rows.append(data.grad_H[i])
-            geq_rows.append(data.grad_G[i])
-        else:
-            eq_rows.append(data.grad_G[i])
-            geq_rows.append(data.grad_H[i])
-    for i in sorted(sets.active_g):
-        leq_rows.append(data.grad_g[i])
-
-    def stack(rows):
-        return np.vstack(rows) if rows else np.zeros((0, data.n))
-
-    return stack(eq_rows), stack(geq_rows), stack(leq_rows)
+    return not _outside(d, tol, *_branch_system(cone, alpha))
 
 
 def branch_cone_inclusion_check(cone: LinearizedCone, alpha: BranchAssignment,
@@ -177,16 +149,10 @@ def branch_cone_inclusion_check(cone: LinearizedCone, alpha: BranchAssignment,
     if membership is None:
         membership = tmpcclin_contains
     eq_rows, _, _ = _branch_system(cone, alpha)
-    if eq_rows.shape[0]:
-        _, s, Vt = np.linalg.svd(eq_rows)
-        rank = int(np.sum(s > max(s[0], 1.0) * 1e-12)) if s.size else 0
-        basis = Vt[rank:].T
-    else:
-        basis = np.eye(cone.data.n)
+    basis = _nullspace(eq_rows)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        raw = rng.standard_normal(cone.data.n)
-        d = basis @ (basis.T @ raw) if basis.size else np.zeros(cone.data.n)
+        d = basis @ (basis.T @ rng.standard_normal(cone.data.n))
         if not branch_cone_contains(cone, alpha, d, tol):
             continue
         if not membership(cone, d, tol):

@@ -53,11 +53,14 @@ def feasibility_to_dict(report: FeasibilityReport) -> dict:
     return out
 
 
-def classify_report(sets: IndexSets, feas: FeasibilityReport, tol: Tolerances) -> dict:
+def classify_report(sets: Optional[IndexSets], feas: FeasibilityReport,
+                    tol: Tolerances) -> dict:
+    """Feasibility and index sets; ``sets`` is None (``index_sets: null``)
+    at an infeasible point, where activity is not classified."""
     return {
         "schema_version": SCHEMA_VERSION,
         "feasibility": feasibility_to_dict(feas),
-        "index_sets": index_sets_to_dict(sets),
+        "index_sets": index_sets_to_dict(sets) if sets is not None else None,
         "tolerances": tolerances_to_dict(tol),
     }
 
@@ -154,13 +157,14 @@ def render_classify_text(report: dict) -> str:
     if not feas["feasible"] and "worst" in feas:
         w = feas["worst"]
         lines.append(f"worst violator: {w['block']}[{w['index']}] = {_fmt(w['violation'])}")
-    lines.extend(render_index_sets(report["index_sets"]))
+    if report["index_sets"] is not None:
+        lines.extend(render_index_sets(report["index_sets"]))
     return "\n".join(lines)
 
 
 def render_certificate_text(report: dict) -> str:
     lines = [f"verdict: {report['verdict']}"]
-    if report.get("failed_branch"):
+    if report.get("failed_branch") is not None:
         lines.append(f"failed branch: alpha={tuple(report['failed_branch'])}")
     if report.get("index_sets"):
         lines.extend(render_index_sets(report["index_sets"]))

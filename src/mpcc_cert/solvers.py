@@ -48,7 +48,8 @@ def _matrix(M, ncols: int, name: str) -> np.ndarray:
         return np.zeros((0, ncols))
     A = np.asarray(M, dtype=float)
     if A.size == 0:
-        return np.zeros((0, ncols))
+        # a (k, 0) matrix over zero variables still poses k rows
+        return np.zeros((A.shape[0] if A.ndim == 2 and ncols == 0 else 0, ncols))
     A = np.atleast_2d(A)
     if A.shape[1] != ncols:
         raise DimensionMismatch(f"{name}: expected {ncols} columns, got {A.shape[1]}")

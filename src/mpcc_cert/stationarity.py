@@ -74,11 +74,8 @@ def multiplier_class_rank(cls: MultiplierClass) -> int:
 
 class VerdictKind(enum.Enum):
     M = "M"
-    A = "A"
     S = "S"
-    NOT_STATIONARY = "not-stationary"
     BRANCH_INFEASIBLE = "branch-infeasible"
-    NUMERICAL_FAILURE = "numerical-failure"
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,10 +350,8 @@ class StationarityVerdict:
     sets: Optional[IndexSets] = None
 
     def __post_init__(self):
-        has_witness = self.witness is not None
-        expects = self.kind in (VerdictKind.M, VerdictKind.A, VerdictKind.S)
-        if has_witness != expects:
-            raise ValueError("witness must be present exactly for M/A/S verdicts")
+        if (self.witness is None) != (self.kind is VerdictKind.BRANCH_INFEASIBLE):
+            raise ValueError("witness must be present exactly for M/S verdicts")
 
 
 def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
@@ -378,7 +373,8 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
     M-witness, upgraded to S when its biactive signs allow.
 
     The returned witness always satisfies the base stationarity system
-    within ``cert_tol``.
+    within ``cert_tol``.  The kind is S, M or BRANCH_INFEASIBLE; when the
+    solvers cannot decide, :class:`NumericalFailure` is raised instead.
     """
     sets = classify_indices(data, tol)
     bi = sorted(sets.zero_zero)

@@ -88,8 +88,15 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 2
         out = capsys.readouterr().out
         assert "complementarity" in out
+        assert "feas_tol 1e-08" in out.splitlines()[0]
+        assert "I^00" not in out
         assert main(["classify", path, "--json"]) == 2
-        assert json.loads(capsys.readouterr().out)["schema_version"] == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema_version"] == 2
+        assert doc["feasibility"]["feasible"] is False
+        assert doc["index_sets"] is None
+        assert doc["tolerances"]["feas_tol"] == 1e-8
+        assert list(doc) == ["schema_version", "feasibility", "index_sets", "tolerances"]
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = write_json(tmp_path, "typo.json", {
@@ -175,6 +182,33 @@ class TestCertifyCommand:
             "oracle", "timing"]
         assert list(doc["oracle"].keys()) == [
             "m_exists", "witness", "eps", "consistent_with_verdict"]
+
+    @pytest.mark.parametrize("grad_f, code, verdict", [
+        ([0.0], 0, "M"), ([1.0], 2, "branch-infeasible")])
+    def test_no_constraint_rows(self, tmp_path, capsys, grad_f, code, verdict):
+        # no active g, no h and p = 0: every polar LP has zero columns
+        path = write_json(tmp_path, "free.json", {
+            "mode": "point-data", "n": 1, "l": 1, "m": 0, "p": 0,
+            "grad_f": grad_f, "g_vals": [-1.0], "grad_g": [[1.0]]})
+        assert main(["certify", path, "--json", "--oracle"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == verdict
+        assert doc["oracle"]["consistent_with_verdict"] is True
+        assert main(["certify", path]) == code
+        assert ("failed branch: alpha=()" in capsys.readouterr().out) == (code == 2)
+
+    def test_tolerance_flags_override_file(self, tmp_path, capsys):
+        path = write_json(tmp_path, "tol.json", {
+            "mode": "point-data", "n": 1, "l": 0, "m": 0, "p": 0,
+            "grad_f": [0.0], "tolerances": {"cert_tol": 1e-5, "feas_tol": 1e-6}})
+        main(["certify", path, "--json"])
+        assert json.loads(capsys.readouterr().out)["tolerances"] == {
+            "active_tol": 1e-8, "feas_tol": 1e-6, "solver_tol": 1e-9, "cert_tol": 1e-5}
+        main(["certify", path, "--json", "--tol", "1e-4", "--solver-tol", "1e-10"])
+        tol = json.loads(capsys.readouterr().out)["tolerances"]
+        assert (tol["cert_tol"], tol["solver_tol"], tol["feas_tol"]) == (1e-4, 1e-10, 1e-6)
+        main(["certify", path, "--json", "--tol", "1e-4", "--cert-tol", "1e-3"])
+        assert json.loads(capsys.readouterr().out)["tolerances"]["cert_tol"] == 1e-3
 
     def test_determinism_modulo_timing(self, capsys):
         main(["certify", f"{PROBLEMS}/m_not_s.json", "--json", "--oracle"])

@@ -56,6 +56,63 @@ class TestMembership:
             tmpcclin_contains(pair_cone, [1.0])
 
 
+def _reference_contains(cone, d, tol, alpha=None):
+    """Row-by-row membership in alpha's branch cone, or the linearized cone."""
+    data, sets = cone.data, cone.sets
+    ok = ([abs(data.grad_h[j] @ d) <= tol for j in range(data.m)]
+          + [abs(data.grad_G[i] @ d) <= tol for i in sets.zero_plus]
+          + [abs(data.grad_H[i] @ d) <= tol for i in sets.plus_zero]
+          + [data.grad_g[i] @ d <= tol for i in sets.active_g])
+    for i in sets.zero_zero:
+        sG, sH = data.grad_G[i] @ d, data.grad_H[i] @ d
+        if alpha is None:
+            ok.append(sG >= -tol and sH >= -tol and abs(sG * sH) <= tol)
+        elif alpha.choices[i] == 1:
+            ok.append(abs(sH) <= tol and sG >= -tol)
+        else:
+            ok.append(abs(sG) <= tol and sH >= -tol)
+    return all(ok)
+
+
+def _span_complement(rows, n):
+    """Orthonormal basis of the directions every row is orthogonal to."""
+    if not rows.shape[0]:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(s > 1e-12)):].T
+
+
+class TestMembershipAgainstRows:
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_by_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(0, 4))
+        inst = random_affine_instance(
+            rng, n=int(rng.integers(1, 6)), l=int(rng.integers(0, 3)),
+            m=int(rng.integers(0, 2)), p=p, objective="random",
+            min_biactive=int(rng.integers(0, p + 1)))
+        data = evaluate_affine(inst, np.zeros(inst.n))
+        sets = classify_indices(data)
+        cone = LinearizedCone(data, sets)
+        shared = np.vstack([data.grad_h, data.grad_G[sorted(sets.zero_plus)],
+                            data.grad_H[sorted(sets.plus_zero)]])
+        for alpha in enumerate_branch_assignments(p, sets.zero_zero):
+            pinned = [data.grad_H[i] if alpha.choices[i] == 1 else data.grad_G[i]
+                      for i in sorted(sets.zero_zero)]
+            bases = (np.eye(inst.n), _span_complement(shared, inst.n),
+                     _span_complement(np.vstack([shared] + pinned), inst.n))
+            for k in range(36):
+                # scales from 1e-10 to 10 put rows on both sides of tol; the
+                # bases give raw directions, directions with the shared
+                # equalities at zero, and directions in alpha's equality space
+                basis = bases[k % 3]
+                d = basis @ (basis.T @ rng.standard_normal(inst.n)) * 10.0 ** rng.uniform(-10, 1)
+                assert branch_cone_contains(cone, alpha, d) == \
+                    _reference_contains(cone, d, 1e-9, alpha)
+                assert tmpcclin_contains(cone, d) == _reference_contains(cone, d, 1e-9)
+
+
 class TestInclusion:
     def test_holds_on_pair_instance(self, pair_cone):
         for alpha in enumerate_branch_assignments(1, {0}):

@@ -44,6 +44,13 @@ class TestLpSolve:
         assert out.status is LpStatus.OPTIMAL
         assert out.objective_value == pytest.approx(1.0, abs=1e-9)
 
+    def test_rows_over_zero_variables(self):
+        lp = LinearProgram(objective=np.zeros(0), eq_matrix=np.zeros((2, 0)), eq_rhs=[0.0, 0.0])
+        assert lp.eq_matrix.shape == (2, 0)
+        assert lp_solve(lp).status is LpStatus.OPTIMAL
+        lp = LinearProgram(objective=np.zeros(0), eq_matrix=np.zeros((2, 0)), eq_rhs=[0.0, 1.0])
+        assert lp_solve(lp).status is LpStatus.INFEASIBLE
+
     def test_iteration_cap_raises(self):
         lp = LinearProgram(objective=[1.0, 1.0],
                            ineq_matrix=[[-1.0, -2.0]], ineq_rhs=[-4.0],

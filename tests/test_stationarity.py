@@ -29,6 +29,7 @@ from mpcc_cert import (
     synthesize_branch_multipliers,
 )
 from mpcc_cert.instances import random_affine_instance, random_branch_points
+from mpcc_cert.oracle import oracle_m_exists
 from mpcc_cert.stationarity import m_condition_holds
 
 from conftest import bilinear_pair_data, m_not_s_instance
@@ -359,6 +360,27 @@ class TestCertify:
         assert verdict.kind is VerdictKind.M
         assert verdict.witness.lam[0] == pytest.approx(1.0, abs=1e-9)
         assert len(verdict.branch_table) == 1
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_no_constraint_rows(self, l):
+        # nothing active, no equality and p = 0: the polar LP has no columns
+        def point(grad_f):
+            return FirstOrderData(n=1, l=l, m=0, p=0, grad_f=grad_f,
+                                  g_vals=[-1.0] * l, grad_g=[[1.0]] * l)
+
+        stationary = point([0.0])
+        verdict = certify_m_stationarity(stationary)
+        assert verdict.kind is VerdictKind.M
+        assert verdict.witness.lam.tolist() == [0.0] * l
+        assert verdict.witness.eta.size == verdict.witness.mu.size == 0
+        assert oracle_m_exists(stationary, classify_indices(stationary))[0] is True
+
+        descent = point([1.0])
+        verdict = certify_m_stationarity(descent)
+        assert verdict.kind is VerdictKind.BRANCH_INFEASIBLE
+        assert verdict.failed_branch.choices == ()
+        assert verdict.witness is None
+        assert oracle_m_exists(descent, classify_indices(descent)) == (False, None)
 
     def test_m_but_not_s_instance(self):
         data = evaluate_affine(m_not_s_instance(), np.zeros(3))
