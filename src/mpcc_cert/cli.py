@@ -100,7 +100,7 @@ def _cmd_classify(args) -> int:
         return EXIT_PARSE
     tol = _merge_tolerances(problem.tolerances, args)
     feas = check_feasibility(problem.data, tol)
-    sets = classify_indices(problem.data, tol) if feas.feasible else None
+    sets = classify_indices(problem.data, tol, feas) if feas.feasible else None
     _emit(classify_report(sets, feas, tol), args.json, render_classify_text)
     return EXIT_OK if feas.feasible else EXIT_CLASSIFY_INFEASIBLE
 

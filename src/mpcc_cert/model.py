@@ -268,7 +268,8 @@ def check_feasibility(data: FirstOrderData, tol: Tolerances = Tolerances()) -> F
     )
 
 
-def classify_indices(data: FirstOrderData, tol: Tolerances = Tolerances()) -> IndexSets:
+def classify_indices(data: FirstOrderData, tol: Tolerances = Tolerances(),
+                     feasibility: Optional[FeasibilityReport] = None) -> IndexSets:
     """Partition the constraints into active/biactive sets at the base point.
 
     A constraint counts as active when its value is within ``active_tol``
@@ -278,9 +279,11 @@ def classify_indices(data: FirstOrderData, tol: Tolerances = Tolerances()) -> In
     smaller side is then treated as the active one.
 
     Raises :class:`InfeasiblePoint` when the point violates the
-    constraints beyond ``feas_tol``.
+    constraints beyond ``feas_tol``; ``feasibility``, the report of
+    :func:`check_feasibility` on the same data and tolerances, saves
+    computing it again.
     """
-    report = check_feasibility(data, tol)
+    report = feasibility if feasibility is not None else check_feasibility(data, tol)
     if not report.feasible:
         raise InfeasiblePoint(f"point infeasible: {report.describe_worst()}", report)
 

@@ -184,14 +184,17 @@ def _weight_grid(k: int, steps: int):
     elif k == 2:
         a = np.arange(steps + 1, dtype=float)
         yield np.column_stack([a, steps - a])
-    elif k == 3:
-        a, b = _triangular_pairs(steps)
-        yield np.column_stack([a, b, steps - a - b]).astype(float)
-    elif k == 4:
-        for i in range(steps + 1):
+    elif k in (3, 4):
+        # four points fix the first weight per chunk; three make one chunk
+        for i in (range(steps + 1) if k == 4 else (0,)):
             a, b = _triangular_pairs(steps - i)
-            yield np.column_stack(
-                [np.full(a.size, i), a, b, steps - i - a - b]).astype(float)
+            block = np.empty((a.size, k))
+            if k == 4:
+                block[:, 0] = i
+            block[:, -3] = a
+            block[:, -2] = b
+            np.subtract(steps - i - a, b, out=block[:, -1])
+            yield block
     else:
         raise ValueError("weight grid supports at most 4 points")
 
@@ -240,25 +243,24 @@ def grid_min_norm(vertices, sign_constraints: Sequence[int],
     k = V.shape[0]
     if k > 4:
         raise ValueError("grid search supports at most 4 vertices")
-    sc = list(sign_constraints)
+    gram = V @ V.T
+    signs = V[:, list(sign_constraints)]
     steps = int(round(1.0 / grid_step))
-    best_point, best_norm = None, np.inf
+    best_weights, best_norm = None, np.inf
     for block in _weight_grid(k, steps):
         weights = block / steps
-        pts = weights @ V
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for c in sc:
-            ok &= pts[:, c] >= -1e-12
-        if not ok.any():
-            continue
-        norms = np.einsum("ij,ij->i", pts[ok], pts[ok])
+        # ||w'V||^2 = w'(VV')w: score on the k x k Gram matrix, form no points
+        norms = np.einsum("ij,ij->i", weights @ gram, weights)
+        if signs.shape[1]:
+            norms[(weights @ signs < -1e-12).any(axis=1)] = np.inf
         j = int(np.argmin(norms))
         if norms[j] < best_norm:
-            best_norm = float(norms[j])
-            best_point = pts[ok][j].copy()
-    if best_point is None:
+            best_norm = norms[j]
+            best_weights = weights[j]
+    if best_weights is None:
         return None
-    return best_point, best_norm
+    point = best_weights @ V
+    return point, float(point @ point)
 
 
 def ray_stays_feasible(inst: AffineInstance, x_bar, d,

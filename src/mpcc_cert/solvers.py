@@ -264,7 +264,8 @@ def _prepare(lp: LinearProgram, tol: float, max_iter: Optional[int]):
     status = _simplex(T, basis, tol, budget)
     if status != "optimal":
         raise NumericalFailure("phase 1 reported an unbounded auxiliary problem")
-    if -T[-1, -1] > tol:
+    # the phase-1 residual carries roundoff of the right-hand side's size
+    if -T[-1, -1] > tol * (1.0 + np.abs(b).max(initial=0.0)):
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive remaining artificials out of the basis; drop redundant rows.

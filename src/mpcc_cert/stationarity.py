@@ -231,6 +231,16 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
     QP is posed over its binding rows only, and regions with the same
     binding rows share one solve.
 
+    The regions are the leaves of a binary tree over the sorted biactive
+    indices: a node fixes the choices of a prefix and is posed over that
+    prefix's binding rows, so the root is the whole hull.  A node's region
+    lies inside its parent's, so when the parent's minimizer meets the
+    node's one new sign row (within the ``-solver_tol * (1 + max|V|)``
+    that :func:`min_norm_point` grants its own output), it is the node's
+    unique minimizer as well and no QP is solved for the node.  Nodes are
+    visited lazily in lexicographic leaf order; every region still gets
+    its own minimum norm.
+
     Requires exactly one input per assignment of the biactive indices,
     each lying in its own sign region within ``cert_tol``.  The output is
     guaranteed to satisfy, at every biactive index, "(mu_i > 0 and
@@ -277,21 +287,34 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
     distinct = np.sort(np.unique(full, axis=0, return_index=True)[1])
     hull = vertices[distinct]
     binding = (hull < 0.0).any(axis=0)
+    # the bound min_norm_point accepts its own output under
+    meets = -tol.solver_tol * (1.0 + np.abs(hull).max(initial=0.0))
 
+    # Relaxation tree: a node is a prefix of branch choices, posed over its
+    # binding rows (the root over none); the leaves are the regions.
+    root = min_norm_point(MinNormProblem(hull), tol.solver_tol)
+    solved = {(): root}
     best = None
     norms = []
-    solved = {}
     for (_, alpha), rows in zip(ordered, signed):
-        key = tuple(rows[binding[rows]].tolist())
-        result = solved.get(key)
-        if result is None:
-            result = min_norm_point(MinNormProblem(hull, key), tol.solver_tol)
+        # walk from the root to the leaf; a non-binding row leaves the node as is
+        key, result = (), root
+        for col in rows[binding[rows]].tolist():
+            parent, key = result, key + (col,)
+            result = solved.get(key)
             if result is None:
-                raise NumericalFailure(
-                    f"branch region for assignment {alpha.choices} reported empty; "
-                    "its own input point should be feasible"
-                )
-            solved[key] = result
+                # a child's region lies inside its parent's, so a parent
+                # minimizer meeting the child's new row minimizes it too
+                if parent.point[col] >= meets:
+                    result = parent
+                else:
+                    result = min_norm_point(MinNormProblem(hull, key), tol.solver_tol)
+                    if result is None:
+                        raise NumericalFailure(
+                            f"branch region for assignment {alpha.choices} reported "
+                            "empty; its own input point should be feasible"
+                        )
+                solved[key] = result
         norms.append((alpha, result.norm_sq))
         # near-equal norms count as ties; iteration order is lexicographic,
         # so the smallest assignment wins them

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import mpcc_cert.cli
+import mpcc_cert.model
 from mpcc_cert import ParseError
 from mpcc_cert.cli import main
 from mpcc_cert.problemfile import load_multipliers, load_problem
@@ -97,6 +99,22 @@ class TestClassifyCommand:
         assert doc["index_sets"] is None
         assert doc["tolerances"]["feas_tol"] == 1e-8
         assert list(doc) == ["schema_version", "feasibility", "index_sets", "tolerances"]
+
+    @pytest.mark.parametrize("name", ["bilinear_min", "bilinear_descent", "kkt_only", "m_not_s"])
+    def test_one_feasibility_check(self, monkeypatch, capsys, name):
+        calls = [0]
+        real = mpcc_cert.model.check_feasibility
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        # both bindings: the command's own and the one classify_indices uses
+        monkeypatch.setattr(mpcc_cert.cli, "check_feasibility", counting)
+        monkeypatch.setattr(mpcc_cert.model, "check_feasibility", counting)
+        assert main(["classify", f"{PROBLEMS}/{name}.json", "--json"]) == 0
+        assert calls[0] == 1
+        assert json.loads(capsys.readouterr().out)["feasibility"]["feasible"] is True
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = write_json(tmp_path, "typo.json", {

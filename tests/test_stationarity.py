@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,57 @@ class TestCombine:
         assert res.selected.choices == (1,)
 
 
+class TestRelaxationTree:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.sampled_from([0.0, 1.0, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_qp_per_region(self, seed, p, shift):
+        rng = np.random.default_rng(seed)
+        # a nonnegative shift keeps every point in its region and moves the
+        # hull off the origin, so reuse below the root is exercised too
+        points = [(mv(p, m.mu + shift * rng.random(p), m.nu + shift * rng.random(p)), alpha)
+                  for m, alpha in random_branch_points(rng, p)]
+        res = schinabeck_combine(points, range(p))
+        stacked = np.array([np.concatenate([m.mu, m.nu]) for m, _ in points])
+        best = None
+        for (_, alpha), (got_alpha, got) in zip(points, res.branch_norms):
+            signed = tuple(i if alpha.choices[i] == 1 else p + i for i in range(p))
+            direct = min_norm_point(MinNormProblem(stacked, signed)).norm_sq
+            assert got_alpha.choices == alpha.choices
+            assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            if best is None or direct > best[1] * (1.0 + 1e-9) + 1e-12:
+                best = (alpha, direct)
+        assert res.selected.choices == best[0].choices
+        for i in range(p):
+            assert m_condition_holds(res.multiplier.mu[i], res.multiplier.nu[i], 1e-7)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_origin_in_hull_costs_one_qp(self, monkeypatch, p):
+        calls = [0]
+        real_qp = mpcc_cert.stationarity.min_norm_point
+
+        def counting_qp(*args, **kwargs):
+            calls[0] += 1
+            return real_qp(*args, **kwargs)
+
+        monkeypatch.setattr(mpcc_cert.stationarity, "min_norm_point", counting_qp)
+        rng = np.random.default_rng(p)
+        points = []
+        for alpha in enumerate_branch_assignments(p, range(p)):
+            # +1 on the coordinate the branch bounds, -1 on the other; an
+            # assignment and its complement get opposite points, so their
+            # combination is the origin
+            sign = np.array([1.0 if c == 1 else -1.0 for c in alpha.choices])
+            points.append((mv(p, *(rng.uniform(0.5, 2.0) * np.concatenate([sign, -sign])
+                                   .reshape(2, p))), alpha))
+        res = schinabeck_combine(points, range(p))
+        assert calls[0] == 1
+        assert len(res.branch_norms) == 2 ** p
+        assert all(v <= 1e-20 for _, v in res.branch_norms)
+        assert res.selected.choices == (1,) * p
+        for i in range(p):
+            assert m_condition_holds(res.multiplier.mu[i], res.multiplier.nu[i], 1e-7)
+
+
 class TestConvexityOfBaseSystem:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -433,7 +486,8 @@ class TestCertify:
         verdict = certify_m_stationarity(data)
         n_biactive = len(verdict.sets.zero_zero)
         assert lp_calls[0] == 2 ** n_biactive
-        assert qp_calls[0] <= 2 ** n_biactive
+        # at most one QP per node of the combiner's relaxation tree
+        assert qp_calls[0] <= 2 ** (n_biactive + 1) - 1
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.sampled_from(["seeded", "random"]))
     @settings(max_examples=60, deadline=None)
@@ -567,3 +621,24 @@ class TestBranchSignConditions:
                 assert mult.nu[i] == 0.0
             inactive = set(range(data.l)) - sets.active_g
             assert all(mult.lam[i] == 0.0 for i in inactive)
+
+
+class TestObjectiveScaling:
+    def test_scaled_gradient_keeps_verdict(self):
+        # the branch polars are cones, so scaling -grad f by a positive
+        # factor keeps every branch's LP feasible or infeasible; a phase-1
+        # test against an absolute tolerance flipped 34 of these to
+        # branch-infeasible at 1e6
+        rng = np.random.default_rng(2002)
+        for trial in range(120):
+            n = int(rng.integers(2, 7))
+            l = int(rng.integers(0, 4))
+            m = int(rng.integers(0, 4))
+            p = int(rng.integers(1, 5))
+            objective = "seeded" if trial % 10 < 7 else "random"
+            inst = random_affine_instance(rng, n, l, m, p, objective=objective)
+            base = certify_m_stationarity(evaluate_affine(inst, np.zeros(n)))
+            scaled = certify_m_stationarity(
+                evaluate_affine(dataclasses.replace(inst, c=1e6 * inst.c), np.zeros(n)))
+            assert scaled.kind is base.kind, trial
+            assert scaled.failed_branch == base.failed_branch, trial
