@@ -8,8 +8,9 @@ Two solvers live here:
   auditable.
 * :func:`min_norm_point`: the squared-norm minimizer over a polytope
   given by its vertices, intersected with coordinate nonnegativity
-  constraints.  It is solved in convex-weight space by a primal
-  active-set method, which makes the convex-combination witness free.
+  constraints.  It is Wolfe's nearest-point method: the convex weights
+  of a corral of affinely independent vertices come from one small KKT
+  solve per step, which makes the convex-combination witness free.
 
 Both are pure functions: no global state, concurrent solves are safe.
 """
@@ -448,32 +449,23 @@ def _nullspace(A: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return Vt[rank:].T
 
 
-_HELMERT_CACHE: dict = {}
-
-
-def _zero_sum_basis(f: int) -> np.ndarray:
-    """Orthonormal basis of the zero-sum subspace of R^f (Helmert columns)."""
-    basis = _HELMERT_CACHE.get(f)
-    if basis is None:
-        j = np.arange(1, f)
-        scale = 1.0 / np.sqrt(j * (j + 1.0))
-        basis = np.where(np.arange(f)[:, None] < j[None, :], scale, 0.0)
-        basis[j, j - 1] = -j * scale
-        basis.flags.writeable = False
-        _HELMERT_CACHE[f] = basis
-    return basis
-
-
-def min_norm_point(prob: MinNormProblem, tol: float = DEFAULT_SOLVER_TOL,
-                   max_iter: Optional[int] = None) -> Optional[MinNormResult]:
+def min_norm_point(prob: MinNormProblem,
+                   tol: float = DEFAULT_SOLVER_TOL) -> Optional[MinNormResult]:
     """Minimize ||sum_k w_k v_k||^2 over simplex weights with sign constraints.
 
     The variables are the convex weights w; constraints are w >= 0,
-    sum w = 1 and (V'w)_j >= 0 for each constrained coordinate j.  The
-    objective is convex but generally only positive semidefinite, so the
-    equality-constrained subproblems are solved through an eigendecomposition
-    of the reduced Hessian: directions of linear descent in its null space
-    are followed to the nearest blocking constraint, Newton steps otherwise.
+    sum w = 1 and (V'w)_j >= 0 for each constrained coordinate j.  This is
+    Wolfe's nearest-point method (Math. Programming 11, 1976) with sign
+    rows.  The free weights F (the corral) and the working sign rows W pose
+    a subproblem, min ||V_F'u||^2 with sum u = 1 and S_W,F u = 0, whose
+    minimizer u and multipliers come from one KKT solve.  The weights move
+    toward u until a weight or a sign row blocks.  At a subproblem minimum,
+    the one pinned weight or working sign row with the most negative
+    multiplier leaves its bound.  A weight entering with a negative
+    multiplier is affinely independent of the corral, and a blocking sign
+    row is independent of the working rows, so the KKT matrix stays
+    nonsingular and the corral holds at most dim + 1 vertices.  V is
+    divided by max|V| on entry, so every threshold is relative to the data.
 
     Returns None when the constrained polytope is empty; the minimizing
     point is unique whenever it exists, the weights need not be.  Raises
@@ -482,27 +474,29 @@ def min_norm_point(prob: MinNormProblem, tol: float = DEFAULT_SOLVER_TOL,
     below ``-tol * (1 + max|V|)``.
     """
     V = prob.vertices
-    k, dim = V.shape
-    S = V[:, list(prob.sign_constraints)].T if prob.sign_constraints else np.zeros((0, k))
-    if S.shape[0]:
-        S = S[np.abs(S).max(axis=1) > 0.0]  # all-zero rows are vacuous
+    vmax = np.abs(V).max(initial=0.0)
+    U = V / vmax if vmax > 0.0 else V
+    k, dim = U.shape
+    signed = np.zeros(dim, dtype=bool)
+    signed[list(prob.sign_constraints)] = True
 
     # Feasible start: cheapest is a vertex already satisfying the signs.
-    if prob.sign_constraints:
-        vertex_ok = np.all(V[:, list(prob.sign_constraints)] >= 0.0, axis=1)
-    else:
-        vertex_ok = np.ones(k, dtype=bool)
+    # Its corral is itself, which it minimizes with sum-row multiplier 2 x'x.
+    vertex_ok = (U[:, signed] >= 0.0).all(axis=1)
     if vertex_ok.any():
-        norms = np.einsum("ij,ij->i", V, V)
-        start = int(np.nonzero(vertex_ok)[0][np.argmin(norms[vertex_ok])])
+        norms = np.einsum("ij,ij->i", U, U)
+        start = np.nonzero(vertex_ok)[0][np.argmin(norms[vertex_ok])]
         w = np.zeros(k)
         w[start] = 1.0
+        x = U[start]
+        xi = np.array([2.0 * (x @ x)])
     else:
+        # a basic solution's support is affinely independent, a valid corral
         out = lp_feasible(
             eq_matrix=np.ones((1, k)),
             eq_rhs=[1.0],
-            ineq_matrix=-S,
-            ineq_rhs=np.zeros(S.shape[0]),
+            ineq_matrix=-U[:, signed].T,
+            ineq_rhs=np.zeros(signed.sum()),
             bounds=[(0.0, None)] * k,
             tol=tol,
         )
@@ -510,162 +504,79 @@ def min_norm_point(prob: MinNormProblem, tol: float = DEFAULT_SOLVER_TOL,
             return None
         if out.status is not LpStatus.OPTIMAL:
             raise NumericalFailure("feasibility LP did not converge")
-        w = np.maximum(out.solution, 0.0)
+        w = np.where(out.solution > 1e-12, out.solution, 0.0)
         w /= w.sum()
+        xi = None
 
-    n_sign = S.shape[0]
-    n_ineq = k + n_sign  # global rows: 0..k-1 weight bounds, then sign rows
-    M2 = 2.0 * (V @ V.T)
-    # gradient magnitude is bounded on the simplex; one fixed scale suffices
-    gscale = 1.0 + np.abs(M2).sum(axis=1).max(initial=0.0)
-
-    if max_iter is None:
-        max_iter = 50 * (k + n_ineq + 1)
-    single_drop_from = max_iter // 2
-
-    # The working set splits into weight bounds (which pin coordinates to
-    # zero) and sign rows.  Pinned coordinates are eliminated up front, so
-    # all dense factorizations run on the small free block only.
-    pinned = w <= 1e-12
-    w[pinned] = 0.0
-    work_sign: list = []
-
-    for iteration in range(max_iter):
-        free = np.nonzero(~pinned)[0]
-        f = free.size
-        basis = _zero_sum_basis(f)
-        if work_sign:
-            S_f = S[work_sign][:, free]
-            if basis.shape[1]:
-                inner = _nullspace(S_f @ basis)
-                Z = basis @ inner
-            else:
-                Z = basis
-        else:
-            S_f = None
-            Z = basis
-        w_f = w[free]
-        V_f = V[free]
-        point = V.T @ w
-        g_f = 2.0 * (V_f @ point)
-
-        p_f = None
-        newton = True
-        if Z.shape[1]:
-            # reduced Hessian through the point-space factor: 2 (V_f'Z)'(V_f'Z)
-            W1 = Z.T @ V_f
-            H = 2.0 * (W1 @ W1.T)
-            r = Z.T @ g_f
-            y = None
-            try:
-                # fast path: well-conditioned reduced Hessian; verified by
-                # residual because LU does not flag numerical singularity
-                y = -np.linalg.solve(H, r)
-                if not np.all(np.isfinite(y)) or (
-                    np.abs(H @ y + r).max(initial=0.0) > 1e-10 * gscale
-                ):
-                    y = None
-            except np.linalg.LinAlgError:
-                y = None
-            if y is not None:
-                p_f = Z @ y
-            else:
-                eigval, eigvec = np.linalg.eigh(H)
-                cut = PIVOT_TOL * max(eigval[-1], 1.0)
-                null = eigval <= cut
-                r_null = eigvec[:, null].T @ r
-                if np.abs(r_null).max(initial=0.0) > PIVOT_TOL * gscale:
-                    p_f = -Z @ (eigvec[:, null] @ r_null)
-                    newton = False
-                else:
-                    pos = ~null
-                    y = -eigvec[:, pos] @ ((eigvec[:, pos].T @ r) / eigval[pos])
-                    p_f = Z @ y
-
-        at_subproblem_min = p_f is None or (
-            newton and np.abs(p_f).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(w_f).max())
-        )
-        if at_subproblem_min:
-            # stationarity on the free block fixes the sum-row and sign-row
-            # multipliers; pinned-bound multipliers then follow explicitly
-            if work_sign:
-                A_sub = np.vstack([np.ones((1, f)), S_f])
-                gram = A_sub @ A_sub.T
-                try:
-                    xi = np.linalg.solve(gram, A_sub @ g_f)
-                except np.linalg.LinAlgError:
-                    xi, *_ = np.linalg.lstsq(A_sub.T, g_f, rcond=None)
-            else:
-                xi = np.array([g_f.sum() / f])
-            zeta = xi[1:]
-            pin_idx = np.nonzero(pinned)[0]
-            drops = []  # (multiplier, global row id)
-            threshold = -1e-9 * gscale
-            if pin_idx.size:
-                mult_pin = M2[pin_idx] @ w - xi[0]
-                if work_sign:
-                    mult_pin -= zeta @ S[work_sign][:, pin_idx]
-                for value, row in zip(mult_pin, pin_idx):
-                    if value < threshold:
-                        drops.append((value, int(row)))
-            for j, row in enumerate(work_sign):
-                if zeta[j] < threshold:
-                    drops.append((zeta[j], k + row))
-            if not drops:
+    # Blocking row ids: 0..k-1 are the weight bounds, k + j is the sign row
+    # of coordinate j.  xi holds the sum-row and working sign-row
+    # multipliers while w minimizes its corral's subproblem, None otherwise.
+    free = w > 0.0
+    work: list = []  # coordinates of the sign rows held at zero, in KKT order
+    for _ in range(50 * (2 * k + int(signed.sum()) + 1)):
+        if xi is not None:
+            # stationarity on F gives every bound's multiplier; the most
+            # negative one leaves its bound
+            mult = np.concatenate([2.0 * (U @ x) - xi[0] - U[:, work] @ xi[1:], xi[1:]])
+            mult[:k][free] = np.inf
+            leave = int(np.argmin(mult))
+            if mult[leave] >= -1e-9:
                 break
-            drops.sort(key=lambda t: (t[0], t[1]))
-            if iteration >= single_drop_from:
-                drops = drops[:1]
+            if leave < k:
+                free[leave] = True
             else:
-                # freeing more coordinates than the point dimension supports
-                # only creates null directions that must be re-pinned later
-                cap_new = max(1, min(k, dim + 1) + len(work_sign) - f)
-                drops = drops[:cap_new]
-            for _, row in drops:
-                if row < k:
-                    pinned[row] = False
-                else:
-                    work_sign.remove(row - k)
-            continue
+                del work[leave - k]
 
-        # blocking rows: inactive weight bounds and sign rows not in the set
-        step_scale = 1e-12 * (1.0 + np.abs(p_f).max())
-        neg = p_f < -step_scale
-        rows_w = free[neg]
-        steps_w = np.maximum(w_f[neg], 0.0) / -p_f[neg]
-        if n_sign:
-            S_free = S[:, free]
-            sp = S_free @ p_f
-            sw = S_free @ w_f
-            sign_neg = sp < -step_scale
-            if work_sign:
-                sign_neg[work_sign] = False
-            rows_s = k + np.nonzero(sign_neg)[0]
-            steps_s = np.maximum(sw[sign_neg], 0.0) / -sp[sign_neg]
-            rows = np.concatenate([rows_w, rows_s])
-            steps = np.concatenate([steps_w, steps_s])
-        else:
-            rows, steps = rows_w, steps_w
-        if rows.size == 0:
-            if not newton:
-                raise NumericalFailure("unblocked descent ray in a compact QP")
-            w[free] = w_f + p_f
+        F = np.nonzero(free)[0]
+        f = F.size
+        U_F = U[F]
+        kkt = np.zeros((f + 1 + len(work),) * 2)
+        kkt[:f, :f] = 2.0 * (U_F @ U_F.T)
+        kkt[:f, f] = -1.0
+        kkt[f, :f] = 1.0
+        kkt[:f, f + 1:] = -U_F[:, work]
+        kkt[f + 1:, :f] = U_F[:, work].T
+        rhs = np.zeros(kkt.shape[0])
+        rhs[f] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("singular KKT system in the min-norm corral") from None
+        u, xi = sol[:f], sol[f:]
+        w_F = w[F]
+        if f == 1 + len(work):
+            # as many rows as free weights: the rows alone fix u, and w_F meets
+            # them; the solve would add roundoff that the ratio test reads as a step
+            u = w_F
+        d = u - w_F
+        x, x_u = U_F.T @ w_F, U_F.T @ u
+
+        # blocking rows: free weights and sign rows not in the working set
+        step_scale = 1e-12 * (1.0 + np.abs(d).max())
+        neg = d < -step_scale
+        dx = x_u - x
+        sign_neg = signed & (dx < -step_scale)
+        sign_neg[work] = False
+        rows = np.concatenate([F[neg], k + np.nonzero(sign_neg)[0]])
+        steps = np.concatenate([np.maximum(w_F[neg], 0.0) / -d[neg],
+                                np.maximum(x[sign_neg], 0.0) / -dx[sign_neg]])
+        t = steps.min(initial=1.0)
+        if t < 1.0:
+            blocker = int(rows[steps <= t + 1e-14 * (1.0 + t)].min())
+            w[F] = w_F + t * d
+            if blocker < k:
+                free[blocker] = False
+                w[blocker] = 0.0
+            else:
+                work.append(blocker - k)
+            xi = None
             continue
-        t_max = steps.min()
-        if newton and t_max >= 1.0:
-            w[free] = w_f + p_f
-            continue
-        blocker = int(rows[steps <= t_max + 1e-14 * (1.0 + t_max)].min())
-        w[free] = w_f + t_max * p_f
-        if blocker < k:
-            pinned[blocker] = True
-            w[blocker] = 0.0
-        else:
-            work_sign.append(blocker - k)
+        w[F], x = u, x_u
     else:
         raise NumericalFailure("active-set iteration cap exceeded")
 
-    w = np.maximum(w, 0.0)
+    # a corral member left at roundoff weight (a degenerate vertex) is no support
+    w[w <= 1e-12] = 0.0
     total = w.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise NumericalFailure("active-set iteration ended without a positive weight")
@@ -673,7 +584,7 @@ def min_norm_point(prob: MinNormProblem, tol: float = DEFAULT_SOLVER_TOL,
     point = V.T @ w
     if prob.sign_constraints:
         worst = float(point[list(prob.sign_constraints)].min())
-        if worst < -tol * (1.0 + np.abs(V).max(initial=0.0)):
+        if worst < -tol * (1.0 + vmax):
             raise NumericalFailure(
                 f"min-norm point leaves its sign region (coordinate value {worst:.3g})"
             )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,12 +310,16 @@ class TestMinNormPoint:
             assert out.objective_value == pytest.approx(float(obj), abs=1e-7)
             assert np.abs(A_eq @ out.solution - b_eq).max() <= 1e-9
 
-    @given(st.integers(0, 2 ** 31 - 1))
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_agrees_with_weight_grid(self, seed):
+    def test_agrees_with_weight_grid(self, seed, repeat):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 4))
         V = rng.uniform(-4, 4, (k, 2))
+        if repeat:
+            # a repeated vertex; three rows keep the grid small
+            V = np.vstack([V[:2], V[rng.integers(0, min(k, 2))]])
+            k = V.shape[0]
         signs = (0,) if rng.random() < 0.5 else ()
         res = min_norm_point(MinNormProblem(V, signs))
         ref = grid_min_norm(V, signs, grid_step=1e-3)
@@ -326,3 +332,44 @@ class TestMinNormPoint:
         assert ref[1] >= res.norm_sq - 1e-9
         resolution = k * 1e-3 * np.linalg.norm(V, axis=1).max()
         assert np.sqrt(ref[1]) - np.sqrt(res.norm_sq) <= resolution + 1e-9
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_vertices_scale_the_norm(self, seed):
+        # every threshold is relative to max|V|, so scaling the data changes
+        # no decision: the same empty regions, and norms that scale by c^2
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 6))
+        V = rng.uniform(-5, 5, (k, d)) * (rng.random((k, d)) < 0.7)  # exact zeros too
+        signs = tuple(sorted(rng.choice(d, size=int(rng.integers(0, d + 1)),
+                                        replace=False).tolist()))
+        ref = min_norm_point(MinNormProblem(V, signs))
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            res = min_norm_point(MinNormProblem(c * V, signs))
+            assert (res is None) == (ref is None), c
+            if ref is not None:
+                assert res.norm_sq / c ** 2 == pytest.approx(
+                    ref.norm_sq, rel=1e-12, abs=1e-24 * np.abs(V).max() ** 2), c
+
+    @pytest.mark.parametrize("signs", [(), (0, 3, 7)])
+    def test_many_vertices_small_memory(self, signs):
+        # nothing k x k: 4096 vertices in 24 dimensions fit in a few arrays
+        # of the input's size, and the support obeys Caratheodory's bound;
+        # the offset keeps the origin out of the hull and makes the signs bind
+        offset = np.ones(24)
+        offset[[0, 3, 7]] = -0.5
+        V = np.random.default_rng(24).normal(size=(4096, 24)) + offset
+        prob = MinNormProblem(V, signs)
+        tracemalloc.start()
+        try:
+            res = min_norm_point(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert np.count_nonzero(res.weights) <= 24 + 1
+        assert np.abs(V.T @ res.weights - res.point).max() <= 1e-12
+        assert res.point[list(signs)].min(initial=0.0) >= -1e-12
+        in_region = (V[:, list(signs)] >= 0.0).all(axis=1)
+        assert (V[in_region] @ res.point).min() >= res.norm_sq - 1e-9  # none lies nearer

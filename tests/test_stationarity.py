@@ -16,7 +16,6 @@ from mpcc_cert import (
     MinNormProblem,
     MultiplierClass,
     MultiplierVector,
-    NumericalFailure,
     SystemViolated,
     Tolerances,
     VerdictKind,
@@ -274,13 +273,10 @@ class TestCombine:
             if first.setdefault(id(m), j) != j:
                 assert res.weights[j] == 0.0
         stacked = np.array([np.concatenate([m.mu, m.nu]) for m, _ in points])
-        # the reference hull lists each point once: on repeated vertices the
-        # active-set QP can still stall or leave its region
-        hull = stacked[sorted(first.values())]
         assert len(res.branch_norms) == len(points)
         for alpha, norm_sq in res.branch_norms:
             signed = tuple(i if alpha.choices[i] == 1 else p + i for i in range(p))
-            direct = min_norm_point(MinNormProblem(hull, signed))
+            direct = min_norm_point(MinNormProblem(stacked, signed))
             assert norm_sq == pytest.approx(direct.norm_sq, abs=Tolerances().solver_tol)
         combined = np.concatenate([res.multiplier.mu, res.multiplier.nu])
         assert np.abs(res.weights @ stacked - combined).max() <= 1e-7
@@ -288,22 +284,45 @@ class TestCombine:
     @pytest.mark.parametrize("index", [902, 1163, 1617])
     def test_own_lp_points_pass_or_fail_loudly(self, index):
         # every branch's own LP point, not the covered set certify passes:
-        # on these inputs the active-set QP once returned NaN weights or a
-        # point outside its region, which surfaced as ValueError or a
-        # misreported postcondition
+        # on these inputs an earlier active-set QP pinned every weight at
+        # zero or left its region; the combination must now succeed
         data = acceptance_mix_data(index)
         sets = classify_indices(data)
         bi = sorted(sets.zero_zero)
         points = [(synthesize_branch_multipliers(data, sets, alpha), alpha)
                   for alpha in enumerate_branch_assignments(data.p, bi)]
         assert all(m is not None for m, _ in points)
-        try:
-            res = schinabeck_combine(points, bi)
-        except NumericalFailure:
-            return
+        res = schinabeck_combine(points, bi)
         assert np.all(np.isfinite(res.weights))
+        assert (res.weights >= 0.0).all()
+        assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for i in bi:
             assert m_condition_holds(res.multiplier.mu[i], res.multiplier.nu[i], 1e-7)
+
+    def test_repeated_rows_match_the_distinct_hull(self):
+        # the eight branches' own LP points of this problem hold five
+        # distinct ones; an earlier active-set QP hit its iteration cap on
+        # the repeated rows in region (2, 2, 2)
+        rng = np.random.default_rng([7, 238])
+        n, l, m, p = (int(rng.integers(2, 7)), int(rng.integers(0, 4)),
+                      int(rng.integers(0, 4)), int(rng.integers(1, 5)))
+        assert (n, l, m, p) == (6, 3, 3, 3)
+        data = evaluate_affine(random_affine_instance(rng, n, l, m, p, objective="random"),
+                               np.zeros(n))
+        sets = classify_indices(data)
+        bi = sorted(sets.zero_zero)
+        assert bi == [0, 1, 2]
+        stacked = np.array([
+            np.concatenate([mult.mu, mult.nu]) for mult in (
+                synthesize_branch_multipliers(data, sets, alpha)
+                for alpha in enumerate_branch_assignments(p, bi))])
+        distinct = np.unique(stacked, axis=0)
+        assert distinct.shape[0] == 5
+        signed = tuple(p + i for i in bi)  # region (2, 2, 2): every nu_i >= 0
+        got = min_norm_point(MinNormProblem(stacked, signed))
+        ref = min_norm_point(MinNormProblem(distinct, signed))
+        assert got.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
+        assert np.abs(got.point - ref.point).max() <= 1e-9
 
     def test_tie_breaks_to_lexicographically_smallest(self):
         res = self.combine([
