@@ -64,11 +64,16 @@ class LinearizedCone:
             raise DimensionMismatch("index sets do not match the data dimensions")
 
 
-def _check_direction(cone: LinearizedCone, d) -> np.ndarray:
+def _check_direction(cone: LinearizedCone, d, name: str = "direction") -> np.ndarray:
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.size != cone.data.n:
-        raise DimensionMismatch(f"direction: expected length {cone.data.n}, got {d.size}")
+        raise DimensionMismatch(f"{name}: expected length {cone.data.n}, got {d.size}")
     return d
+
+
+def _check_alpha(cone: LinearizedCone, alpha: BranchAssignment) -> None:
+    if len(alpha.choices) != cone.data.p:
+        raise DimensionMismatch("alpha has wrong length")
 
 
 def _common_rows(cone: LinearizedCone):
@@ -129,8 +134,7 @@ def branch_cone_contains(cone: LinearizedCone, alpha: BranchAssignment, d,
     condition redundant and the cone convex.
     """
     d = _check_direction(cone, d)
-    if len(alpha.choices) != cone.data.p:
-        raise DimensionMismatch("alpha has wrong length")
+    _check_alpha(cone, alpha)
     return not _outside(d, tol, *_branch_system(cone, alpha))
 
 
@@ -175,35 +179,24 @@ def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
     minimization) or None when w is not in the polar.
     """
     data, sets = cone.data, cone.sets
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != data.n:
-        raise DimensionMismatch(f"w: expected length {data.n}, got {w.size}")
-    if len(alpha.choices) != data.p:
-        raise DimensionMismatch("alpha has wrong length")
+    w = _check_direction(cone, w, "w")
+    _check_alpha(cone, alpha)
 
     active_g = sorted(sets.active_g)
     mu_support = sorted(sets.zero_plus | sets.zero_zero)
     nu_support = sorted(sets.plus_zero | sets.zero_zero)
+    biactive = np.zeros(data.p, dtype=bool)
+    biactive[sorted(sets.zero_zero)] = True
+    choices = np.asarray(alpha.choices)
+    pins_mu, pins_nu = biactive & (choices == 1), biactive & (choices == 2)
 
-    columns, bounds = [], []
-    for i in active_g:
-        columns.append(data.grad_g[i])
-        bounds.append((0.0, None))
-    for j in range(data.m):
-        columns.append(data.grad_h[j])
-        bounds.append((None, None))
-    for i in mu_support:
-        columns.append(-data.grad_G[i])
-        signed = i in sets.zero_zero and alpha.choices[i] == 1
-        bounds.append((0.0, None) if signed else (None, None))
-    for i in nu_support:
-        columns.append(-data.grad_H[i])
-        signed = i in sets.zero_zero and alpha.choices[i] == 2
-        bounds.append((0.0, None) if signed else (None, None))
-
-    n_vars = len(columns)
-    A = np.column_stack(columns) if columns else np.zeros((data.n, 0))
-    lp = LinearProgram(objective=np.zeros(n_vars), eq_matrix=A, eq_rhs=w, bounds=bounds)
+    # one column per multiplier: lam on the active g, eta, mu, nu on their supports
+    rows = np.vstack([data.grad_g[active_g], data.grad_h,
+                      -data.grad_G[mu_support], -data.grad_H[nu_support]])
+    signed = np.concatenate([np.ones(len(active_g), dtype=bool), np.zeros(data.m, dtype=bool),
+                             pins_mu[mu_support], pins_nu[nu_support]])
+    lp = LinearProgram(objective=np.zeros(signed.size), eq_matrix=rows.T, eq_rhs=w,
+                       bounds=[(0.0, None) if s else (None, None) for s in signed])
     out = lp_solve(lp, tol)
     if out.status is LpStatus.INFEASIBLE:
         return None
@@ -211,30 +204,12 @@ def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
         raise NumericalFailure("polar membership LP did not converge")
 
     sol = out.solution
-    lam = np.zeros(data.l)
-    eta = np.zeros(data.m)
-    mu = np.zeros(data.p)
-    nu = np.zeros(data.p)
-    pos = 0
-    for i in active_g:
-        lam[i] = max(sol[pos], 0.0)
-        pos += 1
-    for j in range(data.m):
-        eta[j] = sol[pos]
-        pos += 1
-    for i in mu_support:
-        v = sol[pos]
-        if i in sets.zero_zero and alpha.choices[i] == 1:
-            v = max(v, 0.0)
-        mu[i] = v
-        pos += 1
-    for i in nu_support:
-        v = sol[pos]
-        if i in sets.zero_zero and alpha.choices[i] == 2:
-            v = max(v, 0.0)
-        nu[i] = v
-        pos += 1
-    return MultiplierVector(lam, eta, mu, nu)
+    a, b, c = np.cumsum([len(active_g), data.m, len(mu_support)])
+    lam, mu, nu = np.zeros(data.l), np.zeros(data.p), np.zeros(data.p)
+    lam[active_g] = sol[:a]
+    mu[mu_support] = sol[b:c]
+    nu[nu_support] = sol[c:]
+    return MultiplierVector(lam, sol[a:b], mu, nu)
 
 
 def polar_separating_direction(cone: LinearizedCone, alpha: BranchAssignment, w,
@@ -246,10 +221,8 @@ def polar_separating_direction(cone: LinearizedCone, alpha: BranchAssignment, w,
     a separating direction exists.  The search maximizes w'd over the
     cone, normalized by w'd <= 1.
     """
-    data = cone.data
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != data.n:
-        raise DimensionMismatch(f"w: expected length {data.n}, got {w.size}")
+    w = _check_direction(cone, w, "w")
+    _check_alpha(cone, alpha)
     eq_rows, geq_rows, leq_rows = _branch_system(cone, alpha)
     ineq = np.vstack([leq_rows, -geq_rows, w.reshape(1, -1)])
     rhs = np.zeros(ineq.shape[0])

@@ -9,6 +9,7 @@ operation here is a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,8 +91,11 @@ class FirstOrderData:
 
     def __post_init__(self):
         for name in ("n", "l", "m", "p"):
-            if int(getattr(self, name)) != getattr(self, name) or getattr(self, name) < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
+            v = getattr(self, name)
+            integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+            if isinstance(v, bool) or not integral or v < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         n, l, m, p = self.n, self.l, self.m, self.p
         object.__setattr__(self, "grad_f", _freeze_vector(self.grad_f, n, "grad_f"))
         object.__setattr__(self, "g_vals", _freeze_vector(self.g_vals, l, "g_vals"))

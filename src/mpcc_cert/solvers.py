@@ -3,9 +3,11 @@
 Two solvers live here:
 
 * :func:`lp_solve`: a two-phase tableau simplex with Bland's
-  anti-cycling rule.  Problem sizes in this package are tiny (tens of
-  variables), so a dense tableau is adequate and keeps every pivot
-  auditable.
+  anti-cycling rule, the one LP entry point (branch polar LPs, oracle
+  pattern LPs and min-norm cold starts all go through it).  Both phases
+  run on one tableau under one pivot cap.  Problem sizes in this package
+  are tiny (tens of variables), so a dense tableau is adequate and keeps
+  every pivot auditable.
 * :func:`min_norm_point`: the squared-norm minimizer over a polytope
   given by its vertices, intersected with coordinate nonnegativity
   constraints.  It is Wolfe's nearest-point method: the convex weights
@@ -152,29 +154,22 @@ def _simplex(T: np.ndarray, basis: list, tol: float, budget: list) -> str:
         basis[r] = j
 
 
-class _StandardForm:
-    """Phase-1-solved standard form, reusable across objectives."""
+def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
+    """Solve a dense LP by the two-phase simplex method with Bland's rule.
 
-    __slots__ = ("T", "basis", "col_var", "col_sign", "offset", "ns", "ncols",
-                 "budget", "lp", "tol")
-
-
-def _prepare(lp: LinearProgram, tol: float, max_iter: Optional[int]):
-    """Convert to standard form and run phase 1.
-
-    Returns a _StandardForm ready for phase-2 solves, or an LpOutcome when
-    the constraint system is already decided (infeasible).
+    Free variables are split, bounded variables shifted, so the working
+    problem is in standard form.  Phase 1 minimizes the sum of the
+    artificials, then phase 2 the objective on the same tableau.  The two
+    phases share a cap of 50 * (#columns + #rows) pivots; exceeding it
+    raises :class:`NumericalFailure`, which is distinct from infeasibility.
     """
-    d = lp.objective.size
-
     for lo, hi in lp.bounds:
         if lo is not None and hi is not None and lo > hi + tol:
             return LpOutcome(LpStatus.INFEASIBLE)
 
     # Map each original variable onto shifted nonnegative columns.
-    col_var, col_sign = [], []
-    offset = np.zeros(d)
-    ub_caps = []  # (standard column, residual upper bound)
+    col_var, col_sign, cap_cols, caps = [], [], [], []
+    offset = np.zeros(lp.n_vars)
     for j, (lo, hi) in enumerate(lp.bounds):
         if lo is None and hi is None:
             col_var += [j, j]
@@ -183,8 +178,9 @@ def _prepare(lp: LinearProgram, tol: float, max_iter: Optional[int]):
             offset[j] = lo
             col_var.append(j)
             col_sign.append(1.0)
-            if hi is not None:
-                ub_caps.append((len(col_var) - 1, hi - lo))
+            if hi is not None:  # the residual upper bound becomes a <= row
+                cap_cols.append(len(col_var) - 1)
+                caps.append(hi - lo)
         else:
             offset[j] = hi
             col_var.append(j)
@@ -193,146 +189,75 @@ def _prepare(lp: LinearProgram, tol: float, max_iter: Optional[int]):
     col_sign = np.asarray(col_sign, dtype=float)
     ns = col_var.size
 
-    def to_std(A: np.ndarray) -> np.ndarray:
-        if ns == 0:
-            return np.zeros((A.shape[0], 0))
-        return A[:, col_var] * col_sign
-
+    # Rows: the equalities, then the <= rows and the caps, each with a slack.
     m_eq = lp.eq_matrix.shape[0]
-    m_ub = lp.ineq_matrix.shape[0]
-    m_cap = len(ub_caps)
-    m = m_eq + m_ub + m_cap
-
+    m_ub = m_eq + lp.ineq_matrix.shape[0]
+    m = m_ub + len(caps)
     A = np.zeros((m, ns))
     b = np.zeros(m)
-    A[:m_eq] = to_std(lp.eq_matrix)
+    A[:m_eq] = lp.eq_matrix[:, col_var] * col_sign
     b[:m_eq] = lp.eq_rhs - lp.eq_matrix @ offset
-    A[m_eq:m_eq + m_ub] = to_std(lp.ineq_matrix)
-    b[m_eq:m_eq + m_ub] = lp.ineq_rhs - lp.ineq_matrix @ offset
-    for i, (k, cap) in enumerate(ub_caps):
-        A[m_eq + m_ub + i, k] = 1.0
-        b[m_eq + m_ub + i] = cap
-
-    has_slack = np.zeros(m, dtype=bool)
-    has_slack[m_eq:] = True
-
+    A[m_eq:m_ub] = lp.ineq_matrix[:, col_var] * col_sign
+    b[m_eq:m_ub] = lp.ineq_rhs - lp.ineq_matrix @ offset
+    A[np.arange(m_ub, m), np.asarray(cap_cols, dtype=int)] = 1.0
+    b[m_ub:] = caps
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
-    slack_sign = np.where(flip, -1.0, 1.0)
 
-    n_slack = int(has_slack.sum())
-    # Rows whose slack has +1 coefficient start basic; the rest get artificials.
-    needs_art = np.ones(m, dtype=bool)
-    slack_col_of_row = np.full(m, -1, dtype=int)
-    si = 0
-    for r in range(m):
-        if has_slack[r]:
-            slack_col_of_row[r] = ns + si
-            if slack_sign[r] > 0:
-                needs_art[r] = False
-            si += 1
-    art_rows = np.nonzero(needs_art)[0]
-    n_art = art_rows.size
-
-    ncols = ns + n_slack + n_art
+    # A slack with coefficient +1 starts basic; the other rows get artificials.
+    art_rows = np.nonzero(flip | (np.arange(m) < m_eq))[0]
+    art_start = ns + m - m_eq
+    ncols = art_start + art_rows.size
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :ns] = A
-    si = 0
-    for r in range(m):
-        if has_slack[r]:
-            T[r, ns + si] = slack_sign[r]
-            si += 1
-    for i, r in enumerate(art_rows):
-        T[r, ns + n_slack + i] = 1.0
+    T[np.arange(m_eq, m), np.arange(ns, art_start)] = np.where(flip[m_eq:], -1.0, 1.0)
+    T[art_rows, np.arange(art_start, ncols)] = 1.0
     T[:m, -1] = b
-
-    basis = [0] * m
-    for r in range(m):
-        if not needs_art[r]:
-            basis[r] = slack_col_of_row[r]
-    for i, r in enumerate(art_rows):
-        basis[r] = ns + n_slack + i
-
-    if max_iter is None:
-        max_iter = 50 * (ncols + m)
-    budget = [max_iter]
+    basis = np.zeros(m, dtype=int)
+    basis[m_eq:] = np.arange(ns, art_start)
+    basis[art_rows] = np.arange(art_start, ncols)
+    basis = basis.tolist()
+    budget = [50 * (ncols + m)]
 
     # Phase 1: minimize the sum of artificials.
-    T[-1, ns + n_slack:ncols] = 1.0
+    T[-1, art_start:ncols] = 1.0
     for r in art_rows:
         T[-1] -= T[r]
-    status = _simplex(T, basis, tol, budget)
-    if status != "optimal":
+    if _simplex(T, basis, tol, budget) != "optimal":
         raise NumericalFailure("phase 1 reported an unbounded auxiliary problem")
     # the phase-1 residual carries roundoff of the right-hand side's size
     if -T[-1, -1] > tol * (1.0 + np.abs(b).max(initial=0.0)):
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
-    art_start = ns + n_slack
-    drop_rows = []
+    keep = np.ones(m + 1, dtype=bool)
     for r in range(m):
         if basis[r] >= art_start:
-            pivot_col = -1
-            for j in range(art_start):
-                if abs(T[r, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(T, r, pivot_col)
-                basis[r] = pivot_col
+            cols = np.nonzero(np.abs(T[r, :art_start]) > PIVOT_TOL)[0]
+            if cols.size:
+                _pivot(T, r, cols[0])
+                basis[r] = int(cols[0])
             else:
-                drop_rows.append(r)
-    if drop_rows:
-        keep = [r for r in range(m) if r not in set(drop_rows)]
-        T = T[keep + [m]]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
-    T = np.delete(T, np.s_[art_start:ncols], axis=1)
+                keep[r] = False
+    T = np.delete(T[keep], np.s_[art_start:ncols], axis=1)
+    basis = [bc for bc, kept in zip(basis, keep) if kept]
 
-    form = _StandardForm()
-    form.T = T
-    form.basis = basis
-    form.col_var = col_var
-    form.col_sign = col_sign
-    form.offset = offset
-    form.ns = ns
-    form.ncols = art_start
-    form.budget = budget
-    form.lp = lp
-    form.tol = tol
-    return form
-
-
-def _phase_two(form: _StandardForm, c: np.ndarray) -> LpOutcome:
-    """Optimize one objective over a phase-1-solved standard form.
-
-    Restarts from whatever basis the tableau currently holds, so repeated
-    calls with different objectives warm-start each other.
-    """
-    T, basis, ns, ncols = form.T, form.basis, form.ns, form.ncols
-    lp = form.lp
-    c_std = np.zeros(ncols)
-    if ns:
-        c_std[:ns] = c[form.col_var] * form.col_sign
+    # Phase 2: minimize the objective from the phase-1 basis.
+    c_std = np.zeros(art_start)
+    c_std[:ns] = lp.objective[col_var] * col_sign
     T[-1, :-1] = c_std
     T[-1, -1] = 0.0
     for r, bc in enumerate(basis):
         if c_std[bc] != 0.0:
             T[-1] -= c_std[bc] * T[r]
-    status = _simplex(T, basis, form.tol, form.budget)
-    if status == "unbounded":
+    if _simplex(T, basis, tol, budget) == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    x_std = np.zeros(ncols)
-    for r, bc in enumerate(basis):
-        x_std[bc] = T[r, -1]
-    x_std = np.maximum(x_std, 0.0)  # scrub roundoff negatives
-
-    z = form.offset.copy()
-    if ns:
-        np.add.at(z, form.col_var, form.col_sign * x_std[:ns])
+    x_std = np.zeros(art_start)
+    x_std[basis] = np.maximum(T[:-1, -1], 0.0)  # scrub roundoff negatives
+    z = offset
+    np.add.at(z, col_var, col_sign * x_std[:ns])
 
     # Cheap self-check: a claimed optimum must still satisfy the input system.
     viol = 0.0
@@ -344,43 +269,7 @@ def _phase_two(form: _StandardForm, c: np.ndarray) -> LpOutcome:
     if viol > 1e-6 * scale:
         raise NumericalFailure(f"simplex lost feasibility (violation {viol:.3g})")
 
-    return LpOutcome(LpStatus.OPTIMAL, solution=z, objective_value=float(c @ z))
-
-
-def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL,
-             max_iter: Optional[int] = None) -> LpOutcome:
-    """Solve a dense LP by the two-phase simplex method with Bland's rule.
-
-    Free variables are split, bounded variables shifted, so the working
-    problem is in standard form.  ``max_iter`` overrides the default
-    iteration cap of 50 * (#columns + #rows); exceeding it raises
-    :class:`NumericalFailure`, which is distinct from infeasibility.
-    """
-    form = _prepare(lp, tol, max_iter)
-    if isinstance(form, LpOutcome):
-        return form
-    return _phase_two(form, lp.objective)
-
-
-def lp_solve_many(lp: LinearProgram, objectives, tol: float = DEFAULT_SOLVER_TOL,
-                  max_iter: Optional[int] = None) -> list:
-    """Solve a family of LPs sharing constraints but not objectives.
-
-    Phase 1 runs once; each objective then reoptimizes from the previous
-    basis.  Results match independent :func:`lp_solve` calls up to the
-    usual freedom in degenerate optima.
-    """
-    objectives = [np.asarray(c, dtype=float).reshape(-1) for c in objectives]
-    for c in objectives:
-        if c.size != lp.n_vars:
-            raise DimensionMismatch("objective length does not match the program")
-    if max_iter is None and objectives:
-        max_iter = 50 * (lp.n_vars * 2 + lp.eq_matrix.shape[0]
-                         + lp.ineq_matrix.shape[0] + 2) * len(objectives)
-    form = _prepare(lp, tol, max_iter)
-    if isinstance(form, LpOutcome):
-        return [form] * len(objectives)
-    return [_phase_two(form, c) for c in objectives]
+    return LpOutcome(LpStatus.OPTIMAL, solution=z, objective_value=float(lp.objective @ z))
 
 
 def lp_feasible(eq_matrix=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None,

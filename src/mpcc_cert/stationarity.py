@@ -255,6 +255,8 @@ def schinabeck_combine(points: Sequence[Tuple[MultiplierVector, BranchAssignment
     for mult, alpha in points:
         if mult.mu.size != p or len(alpha.choices) != p:
             raise DimensionMismatch("inconsistent multiplier/assignment lengths")
+    if any(not 0 <= i < p for i in bi):
+        raise DimensionMismatch(f"biactive indices must lie in 0..{p - 1}, got {bi}")
 
     by_key = {}
     for mult, alpha in points:

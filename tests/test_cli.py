@@ -215,6 +215,28 @@ class TestCertifyCommand:
         assert main(["certify", path]) == code
         assert ("failed branch: alpha=()" in capsys.readouterr().out) == (code == 2)
 
+    def test_integral_float_dimensions_accepted(self, tmp_path, capsys):
+        doc = {"mode": "point-data", "n": 1, "l": 1, "m": 0, "p": 0,
+               "grad_f": [0.0], "g_vals": [-1.0], "grad_g": [[1.0]]}
+        reports = []
+        for name in ("int.json", "float.json"):
+            assert main(["certify", write_json(tmp_path, name, doc), "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            reports[-1].pop("timing")
+            doc.update(n=1.0, l=1.0, m=0.0, p=0.0)
+        assert reports[0] == reports[1]
+        assert main(["classify", write_json(tmp_path, "float.json", doc)]) == 0
+
+    @pytest.mark.parametrize("command", ["certify", "classify"])
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_non_integral_dimension_exit_one(self, tmp_path, capsys, command, bad):
+        path = write_json(tmp_path, "dims.json", {
+            "mode": "point-data", "n": 1, "l": bad, "m": 0, "p": 0,
+            "grad_f": [0.0], "g_vals": [-1.0], "grad_g": [[1.0]]})
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "l must be a nonnegative integer" in err
+
     def test_tolerance_flags_override_file(self, tmp_path, capsys):
         path = write_json(tmp_path, "tol.json", {
             "mode": "point-data", "n": 1, "l": 0, "m": 0, "p": 0,

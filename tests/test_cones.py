@@ -55,6 +55,17 @@ class TestMembership:
         with pytest.raises(DimensionMismatch):
             tmpcclin_contains(pair_cone, [1.0])
 
+    @pytest.mark.parametrize("check", [
+        branch_cone_contains, polar_branch_membership, polar_separating_direction])
+    def test_alpha_length_mismatch(self, pair_cone, check):
+        with pytest.raises(DimensionMismatch, match="alpha has wrong length"):
+            check(pair_cone, BranchAssignment((1, 2)), [1.0, 0.0])
+
+    @pytest.mark.parametrize("check", [polar_branch_membership, polar_separating_direction])
+    def test_w_length_mismatch(self, pair_cone, check):
+        with pytest.raises(DimensionMismatch, match="w: expected length 2"):
+            check(pair_cone, BranchAssignment((1,)), [1.0])
+
 
 def _reference_contains(cone, d, tol, alpha=None):
     """Row-by-row membership in alpha's branch cone, or the linearized cone."""

@@ -172,6 +172,18 @@ class TestInvariants:
         with pytest.raises(ValueError):
             FirstOrderData(n=1, l=0, m=0, p=0, grad_f=[np.nan])
 
+    def test_dimensions_stored_as_int(self):
+        data = FirstOrderData(n=2.0, l=np.int64(1), m=0, p=0, grad_f=[1.0, 0.0],
+                              g_vals=[-1.0], grad_g=[[1.0, 0.0]])
+        assert [type(v) for v in (data.n, data.l, data.m, data.p)] == [int] * 4
+        assert (data.n, data.l) == (2, 1)
+        assert classify_indices(data).l == 1
+
+    @pytest.mark.parametrize("bad", [True, 1.5, -1, float("nan"), float("inf"), "1", None])
+    def test_rejects_non_integral_dimension(self, bad):
+        with pytest.raises(ValueError, match="l must be a nonnegative integer"):
+            FirstOrderData(n=1, l=bad, m=0, p=0, grad_f=[0.0])
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(DimensionMismatch):
             FirstOrderData(n=2, l=1, m=0, p=0, grad_f=[1.0, 0.0], g_vals=[0.0, 1.0],

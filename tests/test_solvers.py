@@ -16,6 +16,7 @@ from mpcc_cert import (
 )
 from mpcc_cert.instances import random_feasible_bounded_lp
 from mpcc_cert.oracle import grid_min_norm
+from mpcc_cert.solvers import _simplex
 
 from lp_reference import best_vertex_exact, solve_lp_exact
 
@@ -54,11 +55,14 @@ class TestLpSolve:
         assert lp_solve(lp).status is LpStatus.INFEASIBLE
 
     def test_iteration_cap_raises(self):
-        lp = LinearProgram(objective=[1.0, 1.0],
-                           ineq_matrix=[[-1.0, -2.0]], ineq_rhs=[-4.0],
-                           bounds=[(0.0, None), (0.0, None)])
-        with pytest.raises(NumericalFailure):
-            lp_solve(lp, max_iter=0)
+        # min -x0 - x1 s.t. x0 + 2 x1 + s = 4 from the slack basis: one pivot
+        T = np.array([[1.0, 2.0, 1.0, 4.0],
+                      [-1.0, -1.0, 0.0, 0.0]])
+        with pytest.raises(NumericalFailure, match="iteration cap"):
+            _simplex(T, [2], 1e-9, [0])
+        budget = [1]
+        assert _simplex(T, [2], 1e-9, budget) == "optimal"
+        assert budget == [0] and T[-1, -1] == 4.0
 
     def test_redundant_equality_rows_dropped(self):
         # a duplicated equality leaves a basic artificial that cannot pivot out
@@ -124,25 +128,6 @@ class TestLpSolve:
         assert out.status is LpStatus.OPTIMAL
         assert best is not None
         assert out.objective_value == pytest.approx(float(best), abs=1e-7)
-
-
-class TestLpSolveMany:
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_individual_solves(self, seed):
-        from mpcc_cert.solvers import lp_solve_many
-
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 6))
-        lp = random_feasible_bounded_lp(rng, d=d, n_cons=5)
-        objectives = [rng.uniform(-5, 5, d) for _ in range(8)]
-        batched = lp_solve_many(lp, objectives)
-        for c, out in zip(objectives, batched):
-            single = lp_solve(LinearProgram(
-                objective=c, ineq_matrix=lp.ineq_matrix, ineq_rhs=lp.ineq_rhs,
-                bounds=lp.bounds))
-            assert out.status is single.status is LpStatus.OPTIMAL
-            assert out.objective_value == pytest.approx(single.objective_value, abs=1e-7)
 
 
 class TestLpFeasible:

@@ -11,6 +11,7 @@ from mpcc_cert import (
     AffineInstance,
     BranchAssignment,
     BranchBudgetExceeded,
+    DimensionMismatch,
     FirstOrderData,
     InfeasiblePoint,
     MinNormProblem,
@@ -215,6 +216,12 @@ class TestCombine:
                 (np.array([1.0, 1.0]), BranchAssignment((1,))),
                 (np.array([2.0, 2.0]), BranchAssignment((1,))),
             ])
+
+    @pytest.mark.parametrize("biactive", [[0, 5], [-1, 0]])
+    def test_biactive_index_out_of_range_rejected(self, biactive):
+        points = random_branch_points(np.random.default_rng(0), 2)
+        with pytest.raises(DimensionMismatch, match="biactive indices"):
+            schinabeck_combine(points, biactive)
 
     def test_point_outside_own_region_rejected(self):
         with pytest.raises(ValueError):
