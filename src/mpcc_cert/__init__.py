@@ -40,7 +40,6 @@ from .model import (
     evaluate_affine,
 )
 from .oracle import (
-    PatternAssignment,
     PatternKind,
     TangentSampleReport,
     grid_min_norm,

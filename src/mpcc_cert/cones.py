@@ -43,6 +43,8 @@ class BranchAssignment:
 def enumerate_branch_assignments(p: int, biactive: Iterable[int]) -> list:
     """All 2^|biactive| assignments in lexicographic order, inert entries 1."""
     bi = sorted(biactive)
+    if any(not 0 <= i < p for i in bi):
+        raise DimensionMismatch(f"biactive indices must lie in 0..{p - 1}, got {bi}")
     out = []
     for combo in itertools.product((1, 2), repeat=len(bi)):
         choices = [1] * p

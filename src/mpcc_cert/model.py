@@ -214,10 +214,6 @@ class MultiplierVector:
         if self.mu.size != self.nu.size:
             raise DimensionMismatch("mu and nu must have equal length")
 
-    @staticmethod
-    def zeros(l: int, m: int, p: int) -> "MultiplierVector":
-        return MultiplierVector(np.zeros(l), np.zeros(m), np.zeros(p), np.zeros(p))
-
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:

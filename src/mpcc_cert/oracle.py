@@ -2,6 +2,13 @@
 search over the weight simplex, and sampled ray-tangency checks for
 affine data.
 
+The M and S oracles share one pattern LP.  A pattern is two masks over
+the complementarity indices, saying which mu and nu multipliers are
+present, and one lower bound per index: -inf (free), 0 (the S system)
+or eps (both positive).  ``oracle_m_exists`` enumerates the 3^|biactive|
+M patterns; ``oracle_s_exists`` is the single pattern with every
+biactive bound at 0.
+
 These deliberately avoid the constructive pipeline's code paths so they
 can serve as cross-checks.  They ship in the library (not as test-only
 code) so the command line can emit dual certificates.
@@ -17,120 +24,69 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .cones import LinearizedCone, tmpcclin_contains
-from .errors import (
-    DimensionMismatch,
-    InfeasiblePoint,
-    NotAffine,
-    NumericalFailure,
-    PatternBudgetExceeded,
-)
+from .errors import DimensionMismatch, NotAffine, NumericalFailure, PatternBudgetExceeded
 from .model import (
     AffineInstance,
     FirstOrderData,
     IndexSets,
     MultiplierVector,
     Tolerances,
-    check_feasibility,
     classify_indices,
     evaluate_affine,
 )
-from .solvers import LinearProgram, LpStatus, lp_solve
+from .solvers import LinearProgram, LpStatus, _nullspace, lp_solve
 
 
 class PatternKind(enum.Enum):
+    """One M-condition disjunct for a biactive index.
+
+    ``oracle_m_exists`` tries the members in this order, so it fixes
+    which witness is returned first.
+    """
+
     MU_ZERO = "mu-zero"
     NU_ZERO = "nu-zero"
     BOTH_POSITIVE = "both-positive"
 
 
-@dataclass(frozen=True)
-class PatternAssignment:
-    """One M-condition disjunct per biactive index."""
-
-    biactive: Tuple[int, ...]
-    kinds: Tuple[PatternKind, ...]
-
-    def __post_init__(self):
-        if len(self.biactive) != len(self.kinds):
-            raise DimensionMismatch("pattern must cover exactly the biactive set")
-
-    def kind_of(self, index: int) -> Optional[PatternKind]:
-        try:
-            return self.kinds[self.biactive.index(index)]
-        except ValueError:
-            return None
+def _supports(sets: IndexSets) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks over 0..p-1 of the indices where mu (G active) and nu (H active) live."""
+    mu_on = np.zeros(sets.p, dtype=bool)
+    nu_on = np.zeros(sets.p, dtype=bool)
+    mu_on[list(sets.zero_plus | sets.zero_zero)] = True
+    nu_on[list(sets.plus_zero | sets.zero_zero)] = True
+    return mu_on, nu_on
 
 
-def _pattern_lp(data: FirstOrderData, sets: IndexSets,
-                pattern: Optional[PatternAssignment],
-                eps: float, s_mode: bool) -> Optional[MultiplierVector]:
-    """Feasibility LP for the base system plus per-index sign pattern.
+def _pattern_lp(data: FirstOrderData, sets: IndexSets, mu_on: np.ndarray,
+                nu_on: np.ndarray, lower: np.ndarray) -> Optional[MultiplierVector]:
+    """Feasibility LP for the base system under one sign pattern.
 
-    ``s_mode`` ignores the pattern and demands mu, nu >= 0 on the whole
-    biactive set (the strong-stationarity system).
+    ``mu_on`` and ``nu_on`` are masks over 0..p-1 naming the mu and nu
+    columns that are present; an absent column is a multiplier fixed at
+    zero.  Each present column i is bounded below by ``lower[i]``, with
+    -inf for a free multiplier.  lambda is nonnegative on the active g.
     """
     active_g = sorted(sets.active_g)
-    mu_support = sorted(sets.zero_plus | sets.zero_zero)
-    nu_support = sorted(sets.plus_zero | sets.zero_zero)
-
-    def kind_of(i):
-        return None if pattern is None else pattern.kind_of(i)
-
-    columns, bounds = [], []
-    layout = []
-    for i in active_g:
-        columns.append(data.grad_g[i])
-        bounds.append((0.0, None))
-        layout.append(("lam", i))
-    for j in range(data.m):
-        columns.append(data.grad_h[j])
-        bounds.append((None, None))
-        layout.append(("eta", j))
-    for i in mu_support:
-        if not s_mode and kind_of(i) is PatternKind.MU_ZERO:
-            continue
-        columns.append(-data.grad_G[i])
-        if s_mode and i in sets.zero_zero:
-            bounds.append((0.0, None))
-        elif kind_of(i) is PatternKind.BOTH_POSITIVE:
-            bounds.append((eps, None))
-        else:
-            bounds.append((None, None))
-        layout.append(("mu", i))
-    for i in nu_support:
-        if not s_mode and kind_of(i) is PatternKind.NU_ZERO:
-            continue
-        columns.append(-data.grad_H[i])
-        if s_mode and i in sets.zero_zero:
-            bounds.append((0.0, None))
-        elif kind_of(i) is PatternKind.BOTH_POSITIVE:
-            bounds.append((eps, None))
-        else:
-            bounds.append((None, None))
-        layout.append(("nu", i))
-
-    A = np.column_stack(columns) if columns else np.zeros((data.n, 0))
-    lp = LinearProgram(objective=np.zeros(len(columns)), eq_matrix=A,
-                       eq_rhs=-data.grad_f, bounds=bounds)
+    rows = np.vstack([data.grad_g[active_g], data.grad_h,
+                      -data.grad_G[mu_on], -data.grad_H[nu_on]])
+    lows = np.concatenate([np.zeros(len(active_g)), np.full(data.m, -np.inf),
+                           lower[mu_on], lower[nu_on]])
+    lp = LinearProgram(objective=np.zeros(lows.size), eq_matrix=rows.T, eq_rhs=-data.grad_f,
+                       bounds=[(None if np.isinf(lo) else lo, None) for lo in lows])
     out = lp_solve(lp)
     if out.status is LpStatus.INFEASIBLE:
         return None
     if out.status is not LpStatus.OPTIMAL:
         raise NumericalFailure("pattern LP did not converge")
-    lam = np.zeros(data.l)
-    eta = np.zeros(data.m)
-    mu = np.zeros(data.p)
-    nu = np.zeros(data.p)
-    for (block, idx), value in zip(layout, out.solution):
-        if block == "lam":
-            lam[idx] = max(value, 0.0)
-        elif block == "eta":
-            eta[idx] = value
-        elif block == "mu":
-            mu[idx] = value
-        else:
-            nu[idx] = value
-    return MultiplierVector(lam, eta, mu, nu)
+
+    sol = out.solution
+    a, b, c = np.cumsum([len(active_g), data.m, np.count_nonzero(mu_on)])
+    lam, mu, nu = np.zeros(data.l), np.zeros(data.p), np.zeros(data.p)
+    lam[active_g] = sol[:a]
+    mu[mu_on] = sol[b:c]
+    nu[nu_on] = sol[c:]
+    return MultiplierVector(lam, sol[a:b], mu, nu)
 
 
 def oracle_m_exists(data: FirstOrderData, sets: IndexSets,
@@ -152,10 +108,17 @@ def oracle_m_exists(data: FirstOrderData, sets: IndexSets,
         raise PatternBudgetExceeded(f"biactive set has {len(bi)} indices, pattern cap is 8")
     if eps is None:
         eps = 10.0 * tol.cert_tol
-    kinds = (PatternKind.MU_ZERO, PatternKind.NU_ZERO, PatternKind.BOTH_POSITIVE)
-    for combo in itertools.product(kinds, repeat=len(bi)):
-        pattern = PatternAssignment(tuple(bi), combo)
-        witness = _pattern_lp(data, sets, pattern, eps, s_mode=False)
+    mu_base, nu_base = _supports(sets)
+    for combo in itertools.product(PatternKind, repeat=len(bi)):
+        mu_on, nu_on, lower = mu_base.copy(), nu_base.copy(), np.full(data.p, -np.inf)
+        for i, kind in zip(bi, combo):
+            if kind is PatternKind.MU_ZERO:
+                mu_on[i] = False
+            elif kind is PatternKind.NU_ZERO:
+                nu_on[i] = False
+            else:
+                lower[i] = eps
+        witness = _pattern_lp(data, sets, mu_on, nu_on, lower)
         if witness is not None:
             return True, witness
     return False, None
@@ -163,8 +126,14 @@ def oracle_m_exists(data: FirstOrderData, sets: IndexSets,
 
 def oracle_s_exists(data: FirstOrderData, sets: IndexSets,
                     tol: Tolerances = Tolerances()) -> Tuple[bool, Optional[MultiplierVector]]:
-    """Decide strong-stationarity multiplier existence with one LP."""
-    witness = _pattern_lp(data, sets, None, 0.0, s_mode=True)
+    """Decide strong-stationarity multiplier existence with one LP.
+
+    This is the pattern LP with every biactive mu_i and nu_i bounded
+    below by 0.
+    """
+    lower = np.full(data.p, -np.inf)
+    lower[list(sets.zero_zero)] = 0.0
+    witness = _pattern_lp(data, sets, *_supports(sets), lower)
     return witness is not None, witness
 
 
@@ -336,29 +305,19 @@ def oracle_tangent_sample(inst: AffineInstance, x_bar, directions: int = 1000,
     tangent-but-not-linearized (or vice versa) is recorded as a mismatch.
     Half of the samples are raw unit directions, half are projected onto
     the equality structure first so the interesting region gets hit.
+
+    Raises :class:`InfeasiblePoint` when x_bar is infeasible.
     """
     if not isinstance(inst, AffineInstance):
         raise NotAffine("tangent sampling requires an AffineInstance")
     x = np.asarray(x_bar, dtype=float).reshape(-1)
     data = evaluate_affine(inst, x)
-    report = check_feasibility(data, tol)
-    if not report.feasible:
-        raise InfeasiblePoint(f"x_bar infeasible: {report.describe_worst()}", report)
     sets = classify_indices(data, tol)
     cone = LinearizedCone(data, sets)
 
-    def projector(rows):
-        if not rows:
-            return np.eye(inst.n)
-        E = np.vstack(rows)
-        _, s, Vt = np.linalg.svd(E)
-        rank = int(np.sum(s > max(s[0], 1.0) * 1e-12)) if s.size else 0
-        return Vt[rank:].T
-
-    base_rows = [inst.A_h[j] for j in range(inst.m)]
-    base_rows += [inst.A_G[i] for i in sorted(sets.zero_plus)]
-    base_rows += [inst.A_H[i] for i in sorted(sets.plus_zero)]
-    base_basis = projector(base_rows)
+    base_rows = np.vstack([inst.A_h, inst.A_G[sorted(sets.zero_plus)],
+                           inst.A_H[sorted(sets.plus_zero)]])
+    base_basis = _nullspace(base_rows)
 
     rng = np.random.default_rng(seed)
     biactive = sorted(sets.zero_zero)
@@ -374,10 +333,8 @@ def oracle_tangent_sample(inst: AffineInstance, x_bar, directions: int = 1000,
         elif mode == 2:
             # pin each biactive pair to a random side, so directions land in
             # the (often lower-dimensional) region where tangency can hold
-            rows = list(base_rows)
-            for i in biactive:
-                rows.append(inst.A_H[i] if rng.random() < 0.5 else inst.A_G[i])
-            basis = projector(rows)
+            pins = [inst.A_H[i] if rng.random() < 0.5 else inst.A_G[i] for i in biactive]
+            basis = _nullspace(np.vstack([base_rows, *pins]))
             raw = basis @ (basis.T @ raw) if basis.size else np.zeros(inst.n)
         norm = np.linalg.norm(raw)
         if norm < 1e-12:

@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DimensionMismatch, ParseError
 from .model import AffineInstance, FirstOrderData, MultiplierVector, Tolerances, evaluate_affine
 
@@ -35,8 +33,6 @@ class ProblemInput:
     mode: str
     data: FirstOrderData
     tolerances: Optional[Tolerances]
-    instance: Optional[AffineInstance] = None
-    x_bar: Optional[np.ndarray] = None
 
 
 def _load_json(path: str) -> dict:
@@ -118,13 +114,10 @@ def load_problem(path: str) -> ProblemInput:
                 A_G=doc.get("A_G"), b_G=doc.get("b_G"),
                 A_H=doc.get("A_H"), b_H=doc.get("b_H"),
             )
-            x_bar = np.asarray(
-                _number_list(_require(doc, "x_bar", path), "x_bar"), dtype=float)
-            data = evaluate_affine(inst, x_bar)
+            data = evaluate_affine(inst, _number_list(_require(doc, "x_bar", path), "x_bar"))
         except (DimensionMismatch, ValueError, TypeError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        return ProblemInput(mode=mode, data=data, tolerances=_parse_tolerances(doc, path),
-                            instance=inst, x_bar=x_bar)
+        return ProblemInput(mode=mode, data=data, tolerances=_parse_tolerances(doc, path))
     raise ParseError(f"{path}: field 'mode' must be 'point-data' or 'affine', got {mode!r}")
 
 

@@ -66,6 +66,11 @@ class TestMembership:
         with pytest.raises(DimensionMismatch, match="w: expected length 2"):
             check(pair_cone, BranchAssignment((1,)), [1.0])
 
+    @pytest.mark.parametrize("biactive", [[0, 5], [-1]])
+    def test_assignments_reject_out_of_range_biactive(self, biactive):
+        with pytest.raises(DimensionMismatch, match=r"must lie in 0\.\.1"):
+            enumerate_branch_assignments(2, biactive)
+
 
 def _reference_contains(cone, d, tol, alpha=None):
     """Row-by-row membership in alpha's branch cone, or the linearized cone."""

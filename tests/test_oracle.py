@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpcc_cert.model
+import mpcc_cert.oracle
 from mpcc_cert import (
     FirstOrderData,
     InfeasiblePoint,
@@ -22,10 +26,12 @@ from mpcc_cert import (
     ray_stays_feasible,
 )
 from mpcc_cert.instances import random_affine_instance
+from mpcc_cert.model import Tolerances
 from mpcc_cert.solvers import MinNormProblem
 from mpcc_cert.stationarity import m_condition_holds
 
 from conftest import bilinear_pair_data, bilinear_pair_instance, m_not_s_instance
+from lp_reference import solve_lp_exact
 
 
 class TestOracleMExists:
@@ -113,6 +119,71 @@ class TestOracleSExists:
         assert not oracle_s_exists(data, sets)[0]
 
 
+def _exact_feasible(data, mu_bounds, nu_bounds):
+    """Exact feasibility of the stationarity system with every multiplier a column.
+
+    Activity is read off the data (the instances are evaluated at their
+    base point, where active values are exactly 0): lambda is >= 0 on
+    the active g and fixed at 0 elsewhere; eta is free; mu and nu take
+    the per-index bounds given.
+    """
+    A = np.hstack([data.grad_g.T, data.grad_h.T, -data.grad_G.T, -data.grad_H.T])
+    bounds = ([(0.0, None) if v == 0.0 else (0.0, 0.0) for v in data.g_vals]
+              + [(None, None)] * data.m + list(mu_bounds) + list(nu_bounds))
+    status, _, _ = solve_lp_exact(np.zeros(A.shape[1]), A, -data.grad_f, None, None, bounds)
+    return status == "optimal"
+
+
+class TestOracleAgainstExactLp:
+    """The float oracles against exact rational LPs built from the data.
+
+    A seeded instance keeps n <= m + p, so every pattern system has at
+    least n columns and the seeded gradient lies in their span whatever
+    its rounding.  A random gradient may take n up to m + p + 2, where it
+    is generically outside the span.  The exact and float answers may
+    then only differ by a fault.
+    """
+
+    def test_s_and_m_answers_match_exact_systems(self):
+        eps = 10.0 * Tolerances().cert_tol
+        s_answers, m_answers = set(), set()
+        for seed in range(60):
+            rng = np.random.default_rng([8008, seed])
+            p, m, l = int(rng.integers(1, 4)), int(rng.integers(0, 2)), int(rng.integers(0, 3))
+            objective = "seeded" if seed % 2 else "random"
+            n = int(rng.integers(1, m + p + (1 if objective == "seeded" else 3)))
+            inst = random_affine_instance(rng, n, l, m, p, objective=objective)
+            data = evaluate_affine(inst, np.zeros(inst.n))
+            sets = classify_indices(data)
+            G_zero, H_zero = data.G_vals == 0.0, data.H_vals == 0.0
+            bi = np.flatnonzero(G_zero & H_zero)
+
+            def side(active, other_active, lo):
+                return [((lo if o else None), None) if a else (0.0, 0.0)
+                        for a, o in zip(active, other_active)]
+
+            s_exact = _exact_feasible(data, side(G_zero, H_zero, 0.0), side(H_zero, G_zero, 0.0))
+            assert oracle_s_exists(data, sets)[0] == s_exact, f"seed {seed} ({objective})"
+            s_answers.add(s_exact)
+            if p > 2:
+                continue
+            m_exact = False
+            for combo in itertools.product(range(3), repeat=bi.size):
+                mu_b = side(G_zero, H_zero, None)
+                nu_b = side(H_zero, G_zero, None)
+                for i, kind in zip(bi, combo):
+                    if kind == 0:
+                        mu_b[i] = (0.0, 0.0)
+                    elif kind == 1:
+                        nu_b[i] = (0.0, 0.0)
+                    else:
+                        mu_b[i] = nu_b[i] = (eps, None)
+                m_exact = m_exact or _exact_feasible(data, mu_b, nu_b)
+            assert oracle_m_exists(data, sets)[0] == m_exact, f"seed {seed} ({objective})"
+            m_answers.add(m_exact)
+        assert s_answers == m_answers == {True, False}  # both outcomes are exercised
+
+
 class TestCombinerGrid:
     def test_opposite_corners_find_near_origin(self):
         points = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -193,8 +264,22 @@ class TestTangentSample:
 
     def test_infeasible_base_point(self):
         inst = bilinear_pair_instance([1.0, 1.0])
-        with pytest.raises(InfeasiblePoint):
+        with pytest.raises(InfeasiblePoint, match="^point infeasible: "):
             oracle_tangent_sample(inst, [1.0, 1.0], directions=10)
+
+    def test_checks_feasibility_once(self, monkeypatch):
+        calls = []
+        real = mpcc_cert.model.check_feasibility
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # count at both bindings a caller could use
+        monkeypatch.setattr(mpcc_cert.model, "check_feasibility", counted)
+        monkeypatch.setattr(mpcc_cert.oracle, "check_feasibility", counted, raising=False)
+        oracle_tangent_sample(bilinear_pair_instance([1.0, 1.0]), [0.0, 0.0], directions=10)
+        assert len(calls) == 1
 
     def test_not_affine_guard(self):
         with pytest.raises(NotAffine):
