@@ -7,13 +7,18 @@ Exit codes (per command):
   infeasible, 3 infeasible point, 4 numerical failure, 5 branch cap
   exceeded.
 * check:    0 class meets the requirement, 1 parse error, 2 requirement
-  not met, 6 base system violated.
+  not met, 3 infeasible point, 6 base system violated.
+
+Every input error (an unreadable or malformed file, an unknown or
+missing field, an invalid tolerance flag, a multiplier array of the
+wrong length) exits 1 with an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -59,30 +64,27 @@ EXIT_NUMERICAL = 4
 EXIT_BRANCH_CAP = 5
 EXIT_SYSTEM_VIOLATED = 6
 
-
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--active-tol", type=float, default=None,
-                        help="activity classification tolerance (default 1e-8)")
-    parser.add_argument("--feas-tol", type=float, default=None,
-                        help="constraint violation tolerance (default 1e-8)")
-    parser.add_argument("--solver-tol", type=float, default=None,
-                        help="LP/QP residual tolerance (default 1e-9)")
-    parser.add_argument("--cert-tol", type=float, default=None,
-                        help="certificate verification tolerance (default 1e-7)")
+# error -> (exit code, stderr prefix): the one place where errors become exit codes
+_ERROR_EXITS = {
+    ParseError: (EXIT_PARSE, ""),
+    InfeasiblePoint: (EXIT_INFEASIBLE_POINT, ""),
+    BranchBudgetExceeded: (EXIT_BRANCH_CAP, ""),
+    NumericalFailure: (EXIT_NUMERICAL, "numerical failure: "),
+}
 
 
 def _merge_tolerances(file_tol: Optional[Tolerances], args) -> Tolerances:
-    base = file_tol if file_tol is not None else Tolerances()
-    overrides = {}
+    tol = file_tol if file_tol is not None else Tolerances()
     for name in ("active_tol", "feas_tol", "solver_tol", "cert_tol"):
-        value = getattr(args, name, None)
+        flag, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if value is None and name == "cert_tol":
+            flag, value = "--tol", getattr(args, "tol", None)
         if value is not None:
-            overrides[name] = value
-    if getattr(args, "tol", None) is not None and "cert_tol" not in overrides:
-        overrides["cert_tol"] = args.tol
-    if not overrides:
-        return base
-    return dataclasses.replace(base, **overrides)
+            try:
+                tol = dataclasses.replace(tol, **{name: value})
+            except ValueError as exc:
+                raise ParseError(f"{flag}: {exc}") from exc
+    return tol
 
 
 def _emit(doc: dict, as_json: bool, renderer) -> None:
@@ -92,49 +94,23 @@ def _emit(doc: dict, as_json: bool, renderer) -> None:
         print(renderer(doc))
 
 
-def _cmd_classify(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    tol = _merge_tolerances(problem.tolerances, args)
+def _cmd_classify(args, problem, tol) -> int:
     feas = check_feasibility(problem.data, tol)
     sets = classify_indices(problem.data, tol, feas) if feas.feasible else None
     _emit(classify_report(sets, feas, tol), args.json, render_classify_text)
     return EXIT_OK if feas.feasible else EXIT_CLASSIFY_INFEASIBLE
 
 
-def _cmd_certify(args) -> int:
-    start = time.perf_counter()
-    try:
-        problem = load_problem(args.problem)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    tol = _merge_tolerances(problem.tolerances, args)
-    try:
-        verdict = certify_m_stationarity(problem.data, tol, branch_cap=args.branch_cap)
-    except InfeasiblePoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_POINT
-    except BranchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BRANCH_CAP
-    except NumericalFailure as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+def _cmd_certify(args, problem, tol) -> int:
+    verdict = certify_m_stationarity(problem.data, tol, branch_cap=args.branch_cap)
     osec = None
     if args.oracle:
-        sets = verdict.sets
         eps = 10.0 * tol.cert_tol
         try:
-            exists, witness = oracle_m_exists(problem.data, sets, tol, eps=eps)
+            exists, witness = oracle_m_exists(problem.data, verdict.sets, tol, eps=eps)
         except PatternBudgetExceeded as exc:
             # the certificate stands on its own; report the oracle as skipped
-            osec = {"m_exists": None, "witness": None, "eps": eps,
-                    "consistent_with_verdict": None, "skipped": str(exc)}
+            osec = oracle_section(None, None, verdict.kind, eps, skipped=str(exc))
         except MpccError as exc:
             print(f"error: oracle failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -142,26 +118,16 @@ def _cmd_certify(args) -> int:
             osec = oracle_section(exists, witness, verdict.kind, eps)
 
     doc = certificate_report(verdict, tol, osec)
-    doc["timing"] = {"seconds": time.perf_counter() - start}
+    doc["timing"] = {"seconds": time.perf_counter() - args.start}
     _emit(doc, args.json, render_certificate_text)
     if verdict.kind is VerdictKind.BRANCH_INFEASIBLE:
         return EXIT_BRANCH_INFEASIBLE
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        mult = load_multipliers(args.multipliers, problem.data)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    tol = _merge_tolerances(problem.tolerances, args)
-    try:
-        sets = classify_indices(problem.data, tol)
-    except InfeasiblePoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_POINT
+def _cmd_check(args, problem, tol) -> int:
+    mult = load_multipliers(args.multipliers, problem.data)
+    sets = classify_indices(problem.data, tol)
     residuals = check_stationarity_system(problem.data, sets, mult)
     try:
         cls = classify_multiplier(problem.data, sets, mult, tol)
@@ -173,8 +139,7 @@ def _cmd_check(args) -> int:
         return EXIT_SYSTEM_VIOLATED
     satisfied = None
     if args.require is not None:
-        required = {"a": MultiplierClass.A, "m": MultiplierClass.M,
-                    "s": MultiplierClass.S}[args.require]
+        required = MultiplierClass(args.require.upper())
         satisfied = multiplier_class_rank(cls) >= multiplier_class_rank(required)
     doc = check_report(residuals.as_dict(), residuals.biactive_pairs,
                        cls.value, args.require, satisfied)
@@ -184,46 +149,63 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    ``parse_args`` fills a fresh namespace on every call and leaves the
+    parser unchanged, so every caller can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="mpcc-cert",
         description="M-stationarity certificates for programs with complementarity constraints",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("problem", help="problem file (JSON)")
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    common.add_argument("--active-tol", type=float, default=None,
+                        help="activity classification tolerance (default 1e-8)")
+    common.add_argument("--feas-tol", type=float, default=None,
+                        help="constraint violation tolerance (default 1e-8)")
+    common.add_argument("--solver-tol", type=float, default=None,
+                        help="LP/QP residual tolerance (default 1e-9)")
+    common.add_argument("--cert-tol", type=float, default=None,
+                        help="certificate verification tolerance (default 1e-7)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="classify activity and report feasibility")
-    p_classify.add_argument("problem", help="problem file (JSON)")
-    p_classify.add_argument("--json", action="store_true", help="emit a JSON report")
-    _add_tolerance_flags(p_classify)
+    p_classify = sub.add_parser("classify", parents=[common],
+                                help="classify activity and report feasibility")
     p_classify.set_defaults(func=_cmd_classify)
 
-    p_certify = sub.add_parser("certify", help="construct and verify an M-stationarity certificate")
-    p_certify.add_argument("problem", help="problem file (JSON)")
+    p_certify = sub.add_parser("certify", parents=[common],
+                               help="construct and verify an M-stationarity certificate")
     p_certify.add_argument("--tol", type=float, default=None,
                            help="shorthand for --cert-tol")
     p_certify.add_argument("--branch-cap", type=int, default=12,
                            help="largest admissible biactive set (default 12)")
     p_certify.add_argument("--oracle", action="store_true",
                            help="also run the sign-pattern enumeration oracle")
-    p_certify.add_argument("--json", action="store_true", help="emit a JSON report")
-    _add_tolerance_flags(p_certify)
     p_certify.set_defaults(func=_cmd_certify)
 
-    p_check = sub.add_parser("check", help="check supplied multipliers against the point")
-    p_check.add_argument("problem", help="problem file (JSON)")
+    p_check = sub.add_parser("check", parents=[common],
+                             help="check supplied multipliers against the point")
     p_check.add_argument("multipliers", help="multiplier file (JSON)")
     p_check.add_argument("--require", choices=("a", "m", "s"), default=None,
                          help="exit nonzero unless the class is at least this strong")
-    p_check.add_argument("--json", action="store_true", help="emit a JSON report")
-    _add_tolerance_flags(p_check)
     p_check.set_defaults(func=_cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    args.start = time.perf_counter()
+    try:
+        problem = load_problem(args.problem)
+        return args.func(args, problem, _merge_tolerances(problem.tolerances, args))
+    except tuple(_ERROR_EXITS) as exc:
+        code, prefix = next(v for error, v in _ERROR_EXITS.items() if isinstance(exc, error))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def app() -> None:

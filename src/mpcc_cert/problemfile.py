@@ -82,9 +82,11 @@ def _parse_tolerances(doc: dict, where: str) -> Optional[Tolerances]:
 def load_problem(path: str) -> ProblemInput:
     doc = _load_json(path)
     mode = _require(doc, "mode", path)
-    if mode == "point-data":
-        _reject_unknown(doc, _POINT_KEYS, path)
-        try:
+    if mode not in ("point-data", "affine"):
+        raise ParseError(f"{path}: field 'mode' must be 'point-data' or 'affine', got {mode!r}")
+    _reject_unknown(doc, _POINT_KEYS if mode == "point-data" else _AFFINE_KEYS, path)
+    try:
+        if mode == "point-data":
             data = FirstOrderData(
                 n=_require(doc, "n", path),
                 l=_require(doc, "l", path),
@@ -100,12 +102,7 @@ def load_problem(path: str) -> ProblemInput:
                 H_vals=doc.get("H_vals"),
                 grad_H=doc.get("grad_H"),
             )
-        except (DimensionMismatch, ValueError, TypeError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        return ProblemInput(mode=mode, data=data, tolerances=_parse_tolerances(doc, path))
-    if mode == "affine":
-        _reject_unknown(doc, _AFFINE_KEYS, path)
-        try:
+        else:
             inst = AffineInstance(
                 c=_number_list(_require(doc, "c", path), "c"),
                 Q=doc.get("Q"),
@@ -115,17 +112,16 @@ def load_problem(path: str) -> ProblemInput:
                 A_H=doc.get("A_H"), b_H=doc.get("b_H"),
             )
             data = evaluate_affine(inst, _number_list(_require(doc, "x_bar", path), "x_bar"))
-        except (DimensionMismatch, ValueError, TypeError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        return ProblemInput(mode=mode, data=data, tolerances=_parse_tolerances(doc, path))
-    raise ParseError(f"{path}: field 'mode' must be 'point-data' or 'affine', got {mode!r}")
+    except (DimensionMismatch, ValueError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return ProblemInput(mode=mode, data=data, tolerances=_parse_tolerances(doc, path))
 
 
 def load_multipliers(path: str, data: FirstOrderData) -> MultiplierVector:
     doc = _load_json(path)
     _reject_unknown(doc, _MULT_KEYS, path)
     try:
-        return MultiplierVector(
+        mult = MultiplierVector(
             lam=_number_list(doc.get("lambda", [0.0] * data.l), "lambda"),
             eta=_number_list(doc.get("eta", [0.0] * data.m), "eta"),
             mu=_number_list(doc.get("mu", [0.0] * data.p), "mu"),
@@ -133,6 +129,12 @@ def load_multipliers(path: str, data: FirstOrderData) -> MultiplierVector:
         )
     except (DimensionMismatch, ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    # nu has mu's length, which MultiplierVector checked
+    for key, values, size in (("lambda", mult.lam, data.l), ("eta", mult.eta, data.m),
+                              ("mu", mult.mu, data.p)):
+        if values.size != size:
+            raise ParseError(f"{path}: field '{key}' must have length {size}, got {values.size}")
+    return mult
 
 
 def multipliers_to_dict(mult: MultiplierVector) -> dict:

@@ -102,8 +102,13 @@ def certificate_report(verdict: StationarityVerdict, tol: Tolerances,
     return report
 
 
-def oracle_section(m_exists: bool, witness: Optional[MultiplierVector],
-                   verdict_kind: VerdictKind, eps: float) -> dict:
+def oracle_section(m_exists: Optional[bool], witness: Optional[MultiplierVector],
+                   verdict_kind: VerdictKind, eps: float,
+                   skipped: Optional[str] = None) -> dict:
+    """The report's oracle block; ``skipped`` says why the oracle did not run."""
+    if skipped is not None:
+        return {"m_exists": None, "witness": None, "eps": eps,
+                "consistent_with_verdict": None, "skipped": skipped}
     certified = verdict_kind in (VerdictKind.M, VerdictKind.S)
     # only "certified but no M-multiplier exists" would be a contradiction;
     # an uncertified point may still be M-stationary

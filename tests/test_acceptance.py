@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -s`` (or scripts/run_acceptance.py)
-to see the per-criterion lines and timings.  Every tolerance below is the
-contract value, not a calibrated one.
+Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
+lines and timings.  Every tolerance below is the contract value, not a
+calibrated one.
 """
 
 import json

@@ -1,12 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mpcc_cert.cli
 import mpcc_cert.model
-from mpcc_cert import ParseError
-from mpcc_cert.cli import main
+from mpcc_cert import NumericalFailure, ParseError
+from mpcc_cert.cli import build_parser, main
 from mpcc_cert.problemfile import load_multipliers, load_problem
 
 PROBLEMS = "problems"
@@ -175,8 +180,31 @@ class TestCertifyCommand:
                      "--oracle", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "S"
-        assert doc["oracle"]["m_exists"] is None
-        assert "skipped" in doc["oracle"]
+        assert doc["oracle"] == {
+            "m_exists": None, "witness": None, "eps": 1e-6,
+            "consistent_with_verdict": None, "skipped": "too many biactive indices"}
+        assert list(doc["oracle"]) == [
+            "m_exists", "witness", "eps", "consistent_with_verdict", "skipped"]
+
+    def test_numerical_failure_exit_four(self, capsys, monkeypatch):
+        def breaking(*args, **kwargs):
+            raise NumericalFailure("pivot lost")
+
+        monkeypatch.setattr(mpcc_cert.cli, "certify_m_stationarity", breaking)
+        assert main(["certify", f"{PROBLEMS}/bilinear_min.json", "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numerical failure: pivot lost\n"
+
+    def test_oracle_failure_exit_four(self, capsys, monkeypatch):
+        def breaking(*args, **kwargs):
+            raise NumericalFailure("pivot lost")
+
+        monkeypatch.setattr(mpcc_cert.cli, "oracle_m_exists", breaking)
+        assert main(["certify", f"{PROBLEMS}/bilinear_min.json", "--oracle", "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oracle failed: pivot lost\n"
 
     def test_oracle_section_agrees(self, capsys):
         assert main(["certify", f"{PROBLEMS}/m_not_s.json", "--oracle", "--json"]) == 0
@@ -298,6 +326,18 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["class"] == "A"
 
+    @pytest.mark.parametrize("mult, field", [
+        ({"lambda": [1.0], "mu": [1.0], "nu": [1.0]}, "'lambda' must have length 0, got 1"),
+        ({"eta": [1.0, 2.0], "mu": [1.0], "nu": [1.0]}, "'eta' must have length 0, got 2"),
+        ({"mu": [1.0, 2.0], "nu": [1.0, 2.0]}, "'mu' must have length 1, got 2"),
+        ({"mu": [], "nu": []}, "'mu' must have length 1, got 0"),
+    ])
+    def test_wrong_multiplier_length_exit_one(self, tmp_path, capsys, mult, field):
+        path = write_json(tmp_path, "mult.json", mult)
+        assert main(["check", f"{PROBLEMS}/bilinear_min.json", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_system_violation_exit_six(self, tmp_path, capsys):
         code, _ = 0, None
         path = write_json(tmp_path, "mult.json", {"mu": [5.0], "nu": [5.0]})
@@ -312,3 +352,51 @@ class TestCheckCommand:
                      "--require", "m", "--json"]) == 0
         check_doc = json.loads(capsys.readouterr().out)
         assert check_doc["class"] in ("M", "S")
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("argv, flag", [
+        (["classify", "{p}", "--feas-tol", "-1"], "--feas-tol: feas_tol"),
+        (["certify", "{p}", "--cert-tol", "-1"], "--cert-tol: cert_tol"),
+        (["certify", "{p}", "--solver-tol", "nan"], "--solver-tol: solver_tol"),
+        (["certify", "{p}", "--tol", "inf"], "--tol: cert_tol"),
+        (["check", "{p}", "{m}", "--active-tol", "-1"], "--active-tol: active_tol"),
+    ])
+    def test_invalid_tolerance_flag_exit_one(self, tmp_path, capsys, argv, flag):
+        mult = write_json(tmp_path, "mult.json", {"mu": [1.0], "nu": [1.0]})
+        argv = [a.format(p=f"{PROBLEMS}/bilinear_min.json", m=mult) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be a nonnegative finite number")
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        assert build_parser() is build_parser()
+        parsers = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def recording(self, *args, **kwargs):
+            if self.prog == "mpcc-cert":
+                parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        main(["classify", f"{PROBLEMS}/bilinear_min.json"])
+        main(["certify", f"{PROBLEMS}/bilinear_min.json"])
+        capsys.readouterr()
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_module_entry_point(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "mpcc_cert.cli", *argv], cwd=root,
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        done = run("certify", "problems/bilinear_min.json", "--json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["verdict"] == "S"
+        done = run("certify", str(tmp_path / "missing.json"))
+        assert done.returncode == 1
+        assert done.stdout == "" and done.stderr.startswith("error: cannot read")
