@@ -3,8 +3,9 @@
 
 Useful for eyeballing how often random objectives admit certificates, how
 the branch count scales, how many branch LPs coverage and the early exit
-save, and whether the enumeration oracle ever disagrees with the
-constructive pipeline (it must not, on certified instances).
+save, how many S-LPs run, and whether the oracles ever disagree with the
+constructive pipeline (they must not: every certified instance has an
+M-multiplier, and the kind is S exactly when ``oracle_s_exists`` finds one).
 
 Example:
     python scripts/random_certify_experiment.py --count 100 --seed 3 --oracle
@@ -20,14 +21,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+import mpcc_cert.stationarity
 from mpcc_cert import (
     VerdictKind,
     certify_m_stationarity,
     classify_indices,
     evaluate_affine,
     oracle_m_exists,
+    oracle_s_exists,
 )
 from mpcc_cert.instances import random_affine_instance
+
+
+def count_s_lps() -> list:
+    """Count the S-LPs certify solves, at the binding it calls them through."""
+    calls = [0]
+    real = mpcc_cert.stationarity.polar_s_membership
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    mpcc_cert.stationarity.polar_s_membership = counting
+    return calls
 
 
 def main() -> int:
@@ -38,13 +54,16 @@ def main() -> int:
                         default="mixed")
     parser.add_argument("--max-p", type=int, default=4)
     parser.add_argument("--oracle", action="store_true",
-                        help="cross-check certified instances with the pattern oracle")
+                        help="cross-check certified instances with the pattern oracle "
+                             "and every S kind with oracle_s_exists")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
     verdicts = Counter()
     statuses = Counter()
     disagreements = 0
+    s_disagreements = 0
+    s_lps = count_s_lps()
     start = time.perf_counter()
     for trial in range(args.count):
         if args.objective == "mixed":
@@ -71,6 +90,12 @@ def main() -> int:
             if not exists:
                 disagreements += 1
                 print(f"!! oracle disagreement on trial {trial}")
+        if args.oracle:
+            s_exists, _ = oracle_s_exists(data, classify_indices(data))
+            if s_exists != (verdict.kind is VerdictKind.S):
+                s_disagreements += 1
+                print(f"!! S disagreement on trial {trial}: kind {verdict.kind.value}, "
+                      f"oracle_s_exists {s_exists}")
     elapsed = time.perf_counter() - start
 
     print(f"instances: {args.count}  (objective={args.objective}, seed={args.seed})")
@@ -78,11 +103,12 @@ def main() -> int:
         print(f"  {kind:>18}: {count}")
     solved = statuses["optimal"] + statuses["infeasible"]
     print(f"branch LPs: {solved} solved, {statuses['covered']} covered, "
-          f"{statuses['not-evaluated']} not evaluated")
+          f"{statuses['not-evaluated']} not evaluated; S-LPs: {s_lps[0]} solved")
     if args.oracle:
         print(f"  oracle disagreements: {disagreements}")
+        print(f"  S disagreements: {s_disagreements}")
     print(f"elapsed: {elapsed:.2f}s ({1000 * elapsed / args.count:.1f} ms/instance)")
-    return 1 if disagreements else 0
+    return 1 if disagreements or s_disagreements else 0
 
 
 if __name__ == "__main__":

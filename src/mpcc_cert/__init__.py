@@ -13,6 +13,7 @@ from .cones import (
     branch_cone_inclusion_check,
     enumerate_branch_assignments,
     polar_branch_membership,
+    polar_s_membership,
     polar_separating_direction,
     tmpcclin_contains,
 )

@@ -149,6 +149,15 @@ def _cmd_check(args, problem, tol) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, like every other input error
+    (argparse's own 2 would read as certify's "branch infeasible")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process.
@@ -156,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` fills a fresh namespace on every call and leaves the
     parser unchanged, so every caller can share it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpcc-cert",
         description="M-stationarity certificates for programs with complementarity constraints",
     )

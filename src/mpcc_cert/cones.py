@@ -3,7 +3,8 @@
 Membership of a *given* direction is closed-form, so it is tested by
 direct inequality evaluation; LPs are reserved for polar membership,
 where a feasible multiplier system is exactly the certificate that a
-vector lies in the polar of a branch cone.
+vector lies in the polar of a branch cone (or of the relaxed cone, whose
+polar holds the S-multipliers).
 """
 
 from __future__ import annotations
@@ -166,37 +167,24 @@ def branch_cone_inclusion_check(cone: LinearizedCone, alpha: BranchAssignment,
     return True
 
 
-def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
-                            tol: float = DEFAULT_SOLVER_TOL) -> Optional[MultiplierVector]:
-    """Express w as a polar combination of the branch cone's rows, via LP.
+def _polar_membership(cone: LinearizedCone, mu_signed: np.ndarray, nu_signed: np.ndarray,
+                      w: np.ndarray, tol: float) -> Optional[MultiplierVector]:
+    """The polar LP shared by the branch cones and the relaxed cone.
 
-    The polar of the branch cone consists of all combinations
-    sum lam_i grad g_i + sum eta_j grad h_j - sum mu_i grad G_i - sum nu_i grad H_i
-    with lam >= 0 on the active set, mu supported on the G-active indices,
-    nu on the H-active indices, and the alpha-selected biactive multiplier
-    nonnegative.  Feasibility of that linear system is decided by
-    :func:`lp_solve`; infeasibility certifies that w is outside the polar.
-
-    Returns the multipliers (any basic feasible solution; no norm
-    minimization) or None when w is not in the polar.
+    ``mu_signed`` and ``nu_signed`` are masks over 0..p-1 naming the mu_i
+    and nu_i bounded below by 0; lam is nonnegative on the active g and
+    every other multiplier is free.  Returns None when the LP is infeasible.
     """
     data, sets = cone.data, cone.sets
-    w = _check_direction(cone, w, "w")
-    _check_alpha(cone, alpha)
-
     active_g = sorted(sets.active_g)
     mu_support = sorted(sets.zero_plus | sets.zero_zero)
     nu_support = sorted(sets.plus_zero | sets.zero_zero)
-    biactive = np.zeros(data.p, dtype=bool)
-    biactive[sorted(sets.zero_zero)] = True
-    choices = np.asarray(alpha.choices)
-    pins_mu, pins_nu = biactive & (choices == 1), biactive & (choices == 2)
 
     # one column per multiplier: lam on the active g, eta, mu, nu on their supports
     rows = np.vstack([data.grad_g[active_g], data.grad_h,
                       -data.grad_G[mu_support], -data.grad_H[nu_support]])
     signed = np.concatenate([np.ones(len(active_g), dtype=bool), np.zeros(data.m, dtype=bool),
-                             pins_mu[mu_support], pins_nu[nu_support]])
+                             mu_signed[mu_support], nu_signed[nu_support]])
     lp = LinearProgram(objective=np.zeros(signed.size), eq_matrix=rows.T, eq_rhs=w,
                        bounds=[(0.0, None) if s else (None, None) for s in signed])
     out = lp_solve(lp, tol)
@@ -212,6 +200,48 @@ def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
     mu[mu_support] = sol[b:c]
     nu[nu_support] = sol[c:]
     return MultiplierVector(lam, sol[a:b], mu, nu)
+
+
+def _biactive_mask(cone: LinearizedCone) -> np.ndarray:
+    mask = np.zeros(cone.data.p, dtype=bool)
+    mask[sorted(cone.sets.zero_zero)] = True
+    return mask
+
+
+def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
+                            tol: float = DEFAULT_SOLVER_TOL) -> Optional[MultiplierVector]:
+    """Express w as a polar combination of the branch cone's rows, via LP.
+
+    The polar of the branch cone consists of all combinations
+    sum lam_i grad g_i + sum eta_j grad h_j - sum mu_i grad G_i - sum nu_i grad H_i
+    with lam >= 0 on the active set, mu supported on the G-active indices,
+    nu on the H-active indices, and the alpha-selected biactive multiplier
+    nonnegative.  Feasibility of that linear system is decided by
+    :func:`lp_solve`; infeasibility certifies that w is outside the polar.
+
+    Returns the multipliers (any basic feasible solution; no norm
+    minimization) or None when w is not in the polar.
+    """
+    w = _check_direction(cone, w, "w")
+    _check_alpha(cone, alpha)
+    biactive = _biactive_mask(cone)
+    choices = np.asarray(alpha.choices)
+    return _polar_membership(cone, biactive & (choices == 1), biactive & (choices == 2), w, tol)
+
+
+def polar_s_membership(cone: LinearizedCone, w,
+                       tol: float = DEFAULT_SOLVER_TOL) -> Optional[MultiplierVector]:
+    """Express w as a polar combination of the relaxed cone's rows, via LP.
+
+    The relaxed cone asks both linearized slopes to be nonnegative on
+    every biactive index, so its polar is the branch polar with every
+    biactive mu_i and nu_i nonnegative: the S-multipliers when w is
+    -grad f.  Such a point lies in every branch's sign region.  Returns
+    the multipliers, or None when w is not in the polar.
+    """
+    w = _check_direction(cone, w, "w")
+    biactive = _biactive_mask(cone)
+    return _polar_membership(cone, biactive, biactive, w, tol)
 
 
 def polar_separating_direction(cone: LinearizedCone, alpha: BranchAssignment, w,

@@ -1,8 +1,9 @@
 """Certificate reports: stable machine-readable dicts plus text rendering.
 
-The JSON schema is versioned via ``schema_version`` (currently 2, which
-added the "covered" and "not-evaluated" branch statuses and zero
-combiner weights on repeated branch points).  Field order and
+The JSON schema is versioned via ``schema_version`` (currently 3, in
+which ``combiner`` is null on every S verdict, as an S witness needs no
+combining; 2 added the "covered" and "not-evaluated" branch statuses and
+zero combiner weights on repeated branch points).  Field order and
 branch-table ordering (lexicographic in the assignment) are fixed so
 repeated runs are byte-identical apart from the timing block, which is
 always appended last.
@@ -16,7 +17,7 @@ from .model import FeasibilityReport, IndexSets, MultiplierVector, Tolerances
 from .problemfile import multipliers_to_dict
 from .stationarity import StationarityVerdict, VerdictKind
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _one_based(indices) -> list:

@@ -3,8 +3,11 @@
 The pipeline: classify the active structure, find a polar-membership
 point for every branch of the biactive set (one LP per branch that no
 earlier branch's point covers, stopping at the first infeasible one),
-then select a convex combination of
-the branch multipliers whose biactive pairs satisfy the M-condition
+then take an S-multiplier when one exists: a branch point with every
+biactive mu_i, nu_i >= 0, or else the polar LP of the relaxed cone.  An
+S-multiplier lies in every branch's sign region, so it is itself an
+M-witness.  Only when none exists is a convex combination of the branch
+multipliers selected whose biactive pairs satisfy the M-condition
 "(mu_i > 0 and nu_i > 0) or mu_i nu_i = 0".  The selection rule (take,
 among the per-branch minimum-norm points of the multiplier hull, one of
 maximal norm) guarantees the condition exactly in real arithmetic.
@@ -23,6 +26,7 @@ from .cones import (
     LinearizedCone,
     enumerate_branch_assignments,
     polar_branch_membership,
+    polar_s_membership,
 )
 from .errors import (
     BranchBudgetExceeded,
@@ -394,12 +398,21 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
     lexicographically smallest failing assignment.  Whether that means
     "not a local minimizer" or "constraint qualification fails" cannot be
     told apart from first-order data, so the verdict reports the raw fact.
-    When every branch has a point, the points are combined into an
-    M-witness, upgraded to S when its biactive signs allow.
+    When every branch has a point and the biactive set is non-empty, the
+    witness is, in this order: the first branch point whose biactive
+    mu_i and nu_i are all >= 0 (kind S, no further LP); the solution of
+    the relaxed cone's polar LP, every biactive mu_i and nu_i bounded
+    below by 0, when it is feasible (kind S); otherwise the combination
+    of the branch points by :func:`schinabeck_combine` (kind M).  So the
+    kind is S exactly when an S-multiplier exists, and an S verdict has
+    no combiner.  With no biactive index the one branch point goes
+    through the combiner and the kind is M.
 
     The returned witness always satisfies the base stationarity system
-    within ``cert_tol``.  The kind is S, M or BRANCH_INFEASIBLE; when the
-    solvers cannot decide, :class:`NumericalFailure` is raised instead.
+    within ``cert_tol``, and an S witness has no biactive multiplier
+    below ``-cert_tol``.  The kind is S, M or BRANCH_INFEASIBLE; when
+    the solvers cannot decide, :class:`NumericalFailure` is raised
+    instead.
     """
     sets = classify_indices(data, tol)
     bi = sorted(sets.zero_zero)
@@ -440,20 +453,31 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
             status = "optimal"
         table.append(BranchRecord(alpha, status, norms[owner[j]]))
 
-    combine = schinabeck_combine([(found[k], alpha) for k, alpha in zip(owner, alphas)], bi, tol)
-    witness = combine.multiplier
+    # an S-multiplier lies in every branch's sign region, so it is itself
+    # an M-witness; the combiner runs only when none exists
+    s_point = None
+    if bi:
+        s_point = next((mult for mult in found
+                        if (mult.mu[bi] >= 0.0).all() and (mult.nu[bi] >= 0.0).all()), None)
+        if s_point is None:
+            s_point = polar_s_membership(LinearizedCone(data, sets), -data.grad_f,
+                                         tol.solver_tol)
+    if s_point is not None:
+        kind, combine, witness = VerdictKind.S, None, s_point
+        if (witness.mu[bi] < -tol.cert_tol).any() or (witness.nu[bi] < -tol.cert_tol).any():
+            raise NumericalFailure("S witness has a biactive multiplier below -cert_tol")
+    else:
+        combine = schinabeck_combine([(found[k], alpha) for k, alpha in zip(owner, alphas)],
+                                     bi, tol)
+        kind, witness = VerdictKind.M, combine.multiplier
     residual_report = check_stationarity_system(data, sets, witness)
     if not residual_report.system_ok(tol.cert_tol):
         raise NumericalFailure(
-            "combined witness fails the stationarity system beyond cert_tol"
+            f"{kind.value} witness fails the stationarity system beyond cert_tol"
         )
     residuals = dict(residual_report.as_dict())
     residuals["m_condition"] = m_condition_gap(residual_report.biactive_pairs, tol.cert_tol)
 
-    kind = VerdictKind.M
-    if bi and all(witness.mu[i] >= -tol.cert_tol and witness.nu[i] >= -tol.cert_tol
-                  for i in bi):
-        kind = VerdictKind.S
     return StationarityVerdict(
         kind=kind,
         witness=witness,

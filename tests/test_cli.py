@@ -99,7 +99,7 @@ class TestClassifyCommand:
         assert "I^00" not in out
         assert main(["classify", path, "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["feasibility"]["feasible"] is False
         assert doc["index_sets"] is None
         assert doc["tolerances"]["feas_tol"] == 1e-8
@@ -133,8 +133,9 @@ class TestCertifyCommand:
     def test_s_certificate_exit_zero(self, capsys):
         assert main(["certify", f"{PROBLEMS}/bilinear_min.json", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["verdict"] == "S"
+        assert doc["combiner"] is None
         assert doc["witness"]["mu"] == pytest.approx([1.0], abs=1e-9)
         assert doc["witness"]["nu"] == pytest.approx([1.0], abs=1e-9)
 
@@ -370,6 +371,32 @@ class TestFrontDoor:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be a nonnegative finite number")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "{p}", "--tol", "abc"],
+         "mpcc-cert certify: error: argument --tol: invalid float value: 'abc'"),
+        (["certify"], "mpcc-cert certify: error: the following arguments are required: problem"),
+        (["check", "{p}"], "mpcc-cert check: error: the following arguments are required"),
+        ([], "mpcc-cert: error: the following arguments are required: command"),
+        (["verify", "{p}"], "mpcc-cert: error: argument command: invalid choice: 'verify'"),
+        (["classify", "{p}", "--oracle"], "mpcc-cert: error: unrecognized arguments: --oracle"),
+    ])
+    def test_usage_error_exit_one(self, capsys, argv, message):
+        # exit 2 would read as certify's "branch infeasible"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(p=f"{PROBLEMS}/bilinear_min.json") for a in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mpcc-cert")
+        assert captured.err.splitlines()[-1].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]])
+    def test_help_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mpcc-cert")
+
     def test_one_parser_per_process(self, monkeypatch, capsys):
         assert build_parser() is build_parser()
         parsers = []
@@ -400,3 +427,10 @@ class TestFrontDoor:
         done = run("certify", str(tmp_path / "missing.json"))
         assert done.returncode == 1
         assert done.stdout == "" and done.stderr.startswith("error: cannot read")
+        done = run("certify", "problems/bilinear_min.json", "--tol", "abc")
+        assert done.returncode == 1
+        assert done.stdout == "" and "error: argument --tol" in done.stderr
+        done = run("certify")
+        assert done.returncode == 1
+        assert done.stdout == "" and "error: the following arguments are required" in done.stderr
+        assert run("--help").returncode == 0

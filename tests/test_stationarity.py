@@ -17,6 +17,7 @@ from mpcc_cert import (
     MinNormProblem,
     MultiplierClass,
     MultiplierVector,
+    NumericalFailure,
     SystemViolated,
     Tolerances,
     VerdictKind,
@@ -31,7 +32,7 @@ from mpcc_cert import (
     synthesize_branch_multipliers,
 )
 from mpcc_cert.instances import random_affine_instance, random_branch_points
-from mpcc_cert.oracle import oracle_m_exists
+from mpcc_cert.oracle import oracle_m_exists, oracle_s_exists
 from mpcc_cert.stationarity import m_condition_holds
 
 from conftest import bilinear_pair_data, m_not_s_instance
@@ -60,16 +61,46 @@ def acceptance_mix_data(i):
     return evaluate_affine(inst, np.zeros(n))
 
 
-def count_lp_solves(monkeypatch):
+def acceptance_2_instances(count=200):
+    """(trial, instance) of acceptance test 2, drawn in order from default_rng(2002)."""
+    rng = np.random.default_rng(2002)
+    for trial in range(count):
+        n, l, m, p = (int(rng.integers(2, 7)), int(rng.integers(0, 4)),
+                      int(rng.integers(0, 4)), int(rng.integers(1, 5)))
+        objective = "seeded" if trial % 10 < 7 else "random"
+        yield trial, random_affine_instance(rng, n, l, m, p, objective=objective)
+
+
+def seeded_ladder():
+    """20 seeded instances per p = 1..8 with every pair biactive, from default_rng([p, i])."""
+    for p in range(1, 9):
+        for i in range(20):
+            yield (p, i), random_affine_instance(np.random.default_rng([p, i]), 2 * p, 3, 1, p,
+                                                 objective="seeded", min_biactive=p)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls made through ``module.name``; returns a one-element list."""
     calls = [0]
-    real_lp = mpcc_cert.cones.lp_solve
+    real = getattr(module, name)
 
-    def counting_lp(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return real_lp(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(mpcc_cert.cones, "lp_solve", counting_lp)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_lp_solves(monkeypatch):
+    return count_calls(monkeypatch, mpcc_cert.cones, "lp_solve")
+
+
+def own_branch_points(data):
+    """Every branch's own polar LP point, paired with its assignment."""
+    sets = classify_indices(data)
+    return [(synthesize_branch_multipliers(data, sets, alpha), alpha)
+            for alpha in enumerate_branch_assignments(data.p, sets.zero_zero)]
 
 
 class TestCheckSystem:
@@ -296,8 +327,7 @@ class TestCombine:
         data = acceptance_mix_data(index)
         sets = classify_indices(data)
         bi = sorted(sets.zero_zero)
-        points = [(synthesize_branch_multipliers(data, sets, alpha), alpha)
-                  for alpha in enumerate_branch_assignments(data.p, bi)]
+        points = own_branch_points(data)
         assert all(m is not None for m, _ in points)
         res = schinabeck_combine(points, bi)
         assert np.all(np.isfinite(res.weights))
@@ -364,14 +394,7 @@ class TestRelaxationTree:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_origin_in_hull_costs_one_qp(self, monkeypatch, p):
-        calls = [0]
-        real_qp = mpcc_cert.stationarity.min_norm_point
-
-        def counting_qp(*args, **kwargs):
-            calls[0] += 1
-            return real_qp(*args, **kwargs)
-
-        monkeypatch.setattr(mpcc_cert.stationarity, "min_norm_point", counting_qp)
+        calls = count_calls(monkeypatch, mpcc_cert.stationarity, "min_norm_point")
         rng = np.random.default_rng(p)
         points = []
         for alpha in enumerate_branch_assignments(p, range(p)):
@@ -492,26 +515,20 @@ class TestCertify:
         assert len(verdict.branch_table) == 16
 
     def test_branch_and_qp_counts(self, monkeypatch):
-        lp_calls = [0]
-        qp_calls = [0]
-        real_lp = mpcc_cert.cones.lp_solve
-        real_qp = mpcc_cert.stationarity.min_norm_point
-
-        def counting_lp(*args, **kwargs):
-            lp_calls[0] += 1
-            return real_lp(*args, **kwargs)
-
-        def counting_qp(*args, **kwargs):
-            qp_calls[0] += 1
-            return real_qp(*args, **kwargs)
-
-        monkeypatch.setattr(mpcc_cert.cones, "lp_solve", counting_lp)
-        monkeypatch.setattr(mpcc_cert.stationarity, "min_norm_point", counting_qp)
+        lp_calls = count_lp_solves(monkeypatch)
+        branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
+        s_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_s_membership")
+        qp_calls = count_calls(monkeypatch, mpcc_cert.stationarity, "min_norm_point")
         inst = m_not_s_instance()
         data = evaluate_affine(inst, np.zeros(3))
         verdict = certify_m_stationarity(data)
         n_biactive = len(verdict.sets.zero_zero)
-        assert lp_calls[0] == 2 ** n_biactive
+        # no branch point is S, so one S-LP runs after the branch visit and
+        # finds none; then the combiner builds the M-witness
+        assert branch_lps[0] == 2 ** n_biactive
+        assert s_lps[0] == 1
+        assert lp_calls[0] == branch_lps[0] + s_lps[0]
+        assert verdict.kind is VerdictKind.M
         # at most one QP per node of the combiner's relaxation tree
         assert qp_calls[0] <= 2 ** (n_biactive + 1) - 1
 
@@ -540,14 +557,19 @@ class TestCertify:
         lp_calls = count_lp_solves(monkeypatch)
         inst = random_affine_instance(np.random.default_rng([6, 0]), n=12, l=3, m=1, p=6,
                                       objective="seeded", min_biactive=6)
-        verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(12)))
+        data = evaluate_affine(inst, np.zeros(12))
+        verdict = certify_m_stationarity(data)
         statuses = [rec.status for rec in verdict.branch_table]
-        assert verdict.kind in (VerdictKind.M, VerdictKind.S)
         assert len(statuses) == 64
         assert lp_calls[0] < 64
         assert lp_calls[0] == statuses.count("optimal")
         assert set(statuses) == {"optimal", "covered"}
-        assert len(verdict.combiner.weights) == 64
+        # a branch point is already S, so no S-LP runs and no combiner
+        assert verdict.kind is VerdictKind.S
+        assert verdict.combiner is None
+        # the combiner still takes every branch's own point
+        combine = schinabeck_combine(own_branch_points(data), verdict.sets.zero_zero)
+        assert len(combine.weights) == 64
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_lp_after_failed_branch(self, monkeypatch, seed):
@@ -610,17 +632,25 @@ class TestCertify:
         assert verdict.witness.nu[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_wide_biactive_set(self):
-        # 64 branches and a 64-vertex combiner hull still certify cleanly
+        # 64 branches certify cleanly, and a 64-vertex combiner hull over
+        # every branch's own point still yields an M-witness
         rng = np.random.default_rng(99)
         inst = random_affine_instance(rng, n=8, l=2, m=1, p=6,
                                       objective="seeded", min_biactive=6)
         data = evaluate_affine(inst, np.zeros(8))
+        sets = classify_indices(data)
         verdict = certify_m_stationarity(data)
-        assert verdict.kind in (VerdictKind.M, VerdictKind.S)
+        assert verdict.kind is VerdictKind.S
+        assert verdict.combiner is None
         assert len(verdict.branch_table) == 64
-        assert len(verdict.combiner.branch_norms) == 64
-        rep = check_stationarity_system(data, classify_indices(data), verdict.witness)
+        rep = check_stationarity_system(data, sets, verdict.witness)
         assert rep.system_ok(1e-7)
+
+        combine = schinabeck_combine(own_branch_points(data), sets.zero_zero)
+        assert len(combine.branch_norms) == 64
+        rep = check_stationarity_system(data, sets, combine.multiplier)
+        assert rep.system_ok(1e-7)
+        assert all(m_condition_holds(mu, nu, 1e-7) for _, mu, nu in rep.biactive_pairs)
 
 
 class TestBranchSignConditions:
@@ -655,16 +685,93 @@ class TestObjectiveScaling:
         # factor keeps every branch's LP feasible or infeasible; a phase-1
         # test against an absolute tolerance flipped 34 of these to
         # branch-infeasible at 1e6
-        rng = np.random.default_rng(2002)
-        for trial in range(120):
-            n = int(rng.integers(2, 7))
-            l = int(rng.integers(0, 4))
-            m = int(rng.integers(0, 4))
-            p = int(rng.integers(1, 5))
-            objective = "seeded" if trial % 10 < 7 else "random"
-            inst = random_affine_instance(rng, n, l, m, p, objective=objective)
-            base = certify_m_stationarity(evaluate_affine(inst, np.zeros(n)))
+        for trial, inst in acceptance_2_instances(120):
+            base = certify_m_stationarity(evaluate_affine(inst, np.zeros(inst.n)))
             scaled = certify_m_stationarity(
-                evaluate_affine(dataclasses.replace(inst, c=1e6 * inst.c), np.zeros(n)))
+                evaluate_affine(dataclasses.replace(inst, c=1e6 * inst.c), np.zeros(inst.n)))
             assert scaled.kind is base.kind, trial
             assert scaled.failed_branch == base.failed_branch, trial
+
+
+def swap_g_h(inst):
+    return dataclasses.replace(inst, A_G=inst.A_H, b_G=inst.b_H, A_H=inst.A_G, b_H=inst.b_G)
+
+
+def permute(inst, rng):
+    """The same problem with its variables, g rows and complementarity pairs reordered."""
+    px, pg, pc = (rng.permutation(k) for k in (inst.n, inst.b_g.size, inst.b_G.size))
+    return AffineInstance(c=inst.c[px], Q=inst.Q[np.ix_(px, px)],
+                          A_g=inst.A_g[pg][:, px], b_g=inst.b_g[pg],
+                          A_h=inst.A_h[:, px], b_h=inst.b_h,
+                          A_G=inst.A_G[pc][:, px], b_G=inst.b_G[pc],
+                          A_H=inst.A_H[pc][:, px], b_H=inst.b_H[pc])
+
+
+def kind_and_s_exists(inst):
+    data = evaluate_affine(inst, np.zeros(inst.n))
+    exists, _ = oracle_s_exists(data, classify_indices(data))
+    return certify_m_stationarity(data).kind, exists
+
+
+class TestSKind:
+    """The kind is S exactly when an S-multiplier exists."""
+
+    def test_s_iff_oracle_on_acceptance_2(self):
+        for trial, inst in acceptance_2_instances():
+            kind, exists = kind_and_s_exists(inst)
+            assert (kind is VerdictKind.S) == exists, trial
+
+    def test_s_iff_oracle_on_seeded_ladder(self):
+        for key, inst in seeded_ladder():
+            kind, exists = kind_and_s_exists(inst)
+            assert exists, key  # the generator builds an S-multiplier in
+            assert kind is VerdictKind.S, key
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.sampled_from(["seeded", "random"]))
+    @settings(max_examples=80, deadline=None)
+    def test_kind_survives_swap_and_permutation(self, seed, p, objective):
+        rng = np.random.default_rng(seed)
+        inst = random_affine_instance(rng, n=int(rng.integers(2, 7)), l=int(rng.integers(0, 4)),
+                                      m=int(rng.integers(0, 3)), p=p, objective=objective,
+                                      min_biactive=int(rng.integers(1, p + 1)))
+        kind, exists = kind_and_s_exists(inst)
+        assert (kind is VerdictKind.S) == exists
+        assert kind_and_s_exists(swap_g_h(inst)) == (kind, exists)
+        assert kind_and_s_exists(permute(inst, rng)) == (kind, exists)
+
+    def test_s_verdict_skips_the_combiner(self, monkeypatch):
+        # seeded-wide instance 0: its first branch point is already S
+        s_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_s_membership")
+        combines = count_calls(monkeypatch, mpcc_cert.stationarity, "schinabeck_combine")
+        qp_calls = count_calls(monkeypatch, mpcc_cert.stationarity, "min_norm_point")
+        inst = random_affine_instance(np.random.default_rng([6, 0]), 12, 3, 1, 6,
+                                      objective="seeded", min_biactive=6)
+        verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(12)))
+        assert verdict.kind is VerdictKind.S
+        assert verdict.combiner is None
+        assert (s_lps[0], combines[0], qp_calls[0]) == (0, 0, 0)
+        assert verdict.residuals["m_condition"] == 0.0
+
+    def test_s_lp_decides_when_no_branch_point_is_s(self, monkeypatch):
+        # seeded-wide instance 18: no branch point it finds is S, but the
+        # generator built an S-multiplier in; the S-LP finds one
+        s_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_s_membership")
+        combines = count_calls(monkeypatch, mpcc_cert.stationarity, "schinabeck_combine")
+        inst = random_affine_instance(np.random.default_rng([6, 18]), 12, 3, 1, 6,
+                                      objective="seeded", min_biactive=6)
+        verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(12)))
+        assert verdict.kind is VerdictKind.S
+        assert verdict.combiner is None
+        assert (verdict.witness.mu >= 0.0).all() and (verdict.witness.nu >= 0.0).all()
+        assert (s_lps[0], combines[0]) == (1, 0)
+
+    def test_s_witness_below_minus_cert_tol_raises(self, monkeypatch):
+        # an S-LP answer with a negative biactive sign is a solver fault: it
+        # raises instead of being demoted to an M verdict
+        data = evaluate_affine(m_not_s_instance(), np.zeros(3))
+        m_witness = certify_m_stationarity(data).witness
+        assert min(m_witness.mu[0], m_witness.nu[0]) < -1e-3
+        monkeypatch.setattr(mpcc_cert.stationarity, "polar_s_membership",
+                            lambda *args: m_witness)
+        with pytest.raises(NumericalFailure, match="below -cert_tol"):
+            certify_m_stationarity(data)
