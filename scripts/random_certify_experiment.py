@@ -81,6 +81,7 @@ def main() -> int:
         data = evaluate_affine(inst, np.zeros(inst.n))
         verdict = certify_m_stationarity(data)
         verdicts[verdict.kind.value] += 1
+        # reading the table expands it from the verdict's branch walk
         statuses.update(rec.status for rec in verdict.branch_table)
         if args.oracle and verdict.kind in (VerdictKind.M, VerdictKind.S):
             sets = classify_indices(data)

@@ -62,6 +62,7 @@ from .solvers import (
 )
 from .stationarity import (
     BranchRecord,
+    BranchWalk,
     CombineResult,
     MultiplierClass,
     ResidualReport,

@@ -32,8 +32,8 @@ class BranchAssignment:
     choices: Tuple[int, ...]
 
     def __post_init__(self):
-        choices = tuple(int(c) for c in self.choices)
-        if any(c not in (1, 2) for c in choices):
+        choices = tuple(map(int, self.choices))
+        if not {1, 2}.issuperset(choices):
             raise ValueError("branch choices must be 1 or 2")
         object.__setattr__(self, "choices", choices)
 

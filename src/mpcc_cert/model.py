@@ -56,7 +56,10 @@ class Tolerances:
     ``active_tol`` classifies constraint activity, ``feas_tol`` bounds
     acceptable constraint violation, ``solver_tol`` is the LP/QP residual
     tolerance and ``cert_tol`` the certificate verification tolerance.
-    All thresholds are absolute; users must pre-scale badly scaled data.
+    All thresholds are absolute, except that a witness's gradient residual
+    may also exceed ``cert_tol`` by roundoff proportional to the summed
+    magnitudes of its terms (see ``ResidualReport.system_ok``); users must
+    pre-scale badly scaled data.
     """
 
     active_tol: float = DEFAULT_ACTIVE_TOL

@@ -2,7 +2,8 @@
 
 The pipeline: classify the active structure, find a polar-membership
 point for every branch of the biactive set (one LP per branch that no
-earlier branch's point covers, stopping at the first infeasible one),
+earlier point's box of branches holds, walking the boxes rather than
+the 2^|biactive| branches and stopping at the first infeasible LP),
 then take an S-multiplier when one exists: a branch point with every
 biactive mu_i, nu_i >= 0, or else the polar LP of the relaxed cone.  An
 S-multiplier lies in every branch's sign region, so it is itself an
@@ -11,11 +12,13 @@ multipliers selected whose biactive pairs satisfy the M-condition
 "(mu_i > 0 and nu_i > 0) or mu_i nu_i = 0".  The selection rule (take,
 among the per-branch minimum-norm points of the multiplier hull, one of
 maximal norm) guarantees the condition exactly in real arithmetic.
+The per-branch table is a view expanded from the walk when it is read.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,6 +54,7 @@ __all__ = [
     "VerdictKind",
     "ResidualReport",
     "BranchRecord",
+    "BranchWalk",
     "CombineResult",
     "StationarityVerdict",
     "check_stationarity_system",
@@ -82,6 +86,11 @@ class VerdictKind(enum.Enum):
     BRANCH_INFEASIBLE = "branch-infeasible"
 
 
+# Room for roundoff in the gradient residual, per unit of the summed
+# magnitudes of its terms (the float64 unit roundoff is 1.1e-16).
+GRADIENT_ROUNDOFF = 1e-13
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Pure residuals of the base stationarity system; no verdict attached.
@@ -91,6 +100,8 @@ class ResidualReport:
     violations (should be 0).  Empty index sets report neutral zeros.
     ``biactive_pairs`` lists (index, mu_i, nu_i) so the sign pattern on
     the biactive set stays visible rather than being silently classified.
+    ``gradient_scale`` sums, over grad f and the four multiplier terms of
+    the gradient identity, each term's largest magnitude.
     """
 
     gradient: float
@@ -99,10 +110,18 @@ class ResidualReport:
     mu_pluszero_abs: float
     nu_zeroplus_abs: float
     biactive_pairs: Tuple[Tuple[int, float, float], ...]
+    gradient_scale: float = 0.0
 
     def system_ok(self, tol: float) -> bool:
+        """Every residual within ``tol``; the gradient may exceed it by roundoff.
+
+        Summing terms of magnitude ``gradient_scale`` leaves a roundoff
+        error that grows with them, so the gradient test allows
+        ``tol + GRADIENT_ROUNDOFF * gradient_scale``.  The other tests are
+        absolute.
+        """
         return (
-            self.gradient <= tol
+            self.gradient <= tol + GRADIENT_ROUNDOFF * self.gradient_scale
             and self.lambda_active_min >= -tol
             and self.lambda_inactive_abs <= tol
             and self.mu_pluszero_abs <= tol
@@ -128,15 +147,18 @@ def check_stationarity_system(data: FirstOrderData, sets: IndexSets,
                               mult: MultiplierVector) -> ResidualReport:
     """Residuals of the gradient identity and the multiplier support rules."""
     _validate_multiplier(data, mult)
-    r = data.grad_f.copy()
+    terms = []
     if data.l:
-        r += mult.lam @ data.grad_g
+        terms.append(mult.lam @ data.grad_g)
     if data.m:
-        r += mult.eta @ data.grad_h
+        terms.append(mult.eta @ data.grad_h)
     if data.p:
-        r -= mult.mu @ data.grad_G
-        r -= mult.nu @ data.grad_H
+        terms += [-(mult.mu @ data.grad_G), -(mult.nu @ data.grad_H)]
+    r = data.grad_f.copy()
+    for term in terms:
+        r += term
     gradient = float(np.abs(r).max(initial=0.0))
+    scale = float(np.abs([data.grad_f] + terms).max(axis=1, initial=0.0).sum())
 
     active = sorted(sets.active_g)
     inactive = sorted(set(range(data.l)) - sets.active_g)
@@ -145,7 +167,7 @@ def check_stationarity_system(data: FirstOrderData, sets: IndexSets,
     mu_pz = float(max((abs(mult.mu[i]) for i in sorted(sets.plus_zero)), default=0.0))
     nu_zp = float(max((abs(mult.nu[i]) for i in sorted(sets.zero_plus)), default=0.0))
     pairs = tuple((i, float(mult.mu[i]), float(mult.nu[i])) for i in sorted(sets.zero_zero))
-    return ResidualReport(gradient, lam_min, lam_off, mu_pz, nu_zp, pairs)
+    return ResidualReport(gradient, lam_min, lam_off, mu_pz, nu_zp, pairs, scale)
 
 
 def m_condition_holds(mu_i: float, nu_i: float, tol: float) -> bool:
@@ -355,10 +377,11 @@ class BranchRecord:
     """One row of the branch table, in lexicographic assignment order.
 
     ``status`` is "optimal" (this branch's polar LP was solved),
-    "covered" (an earlier branch's LP point lies in this branch's sign
-    region and serves as its point), "infeasible" (its polar LP has no
-    solution) or "not-evaluated" (after the infeasible branch).
-    ``multiplier_norm`` is the norm of the branch's point, None without one.
+    "covered" (an earlier LP point lies in this branch's sign region and
+    serves as its point), "infeasible" (its polar LP has no solution) or
+    "not-evaluated" (after the infeasible branch).  ``multiplier_norm`` is
+    the norm of the branch's point, None without one.  The rows are
+    expanded from a :class:`BranchWalk` when the table is read.
     """
 
     alpha: BranchAssignment
@@ -366,21 +389,140 @@ class BranchRecord:
     multiplier_norm: Optional[float]
 
 
+def _leaf_assignment(p: int, bi: Sequence[int], leaf: int) -> BranchAssignment:
+    """The assignment of leaf ``leaf``: bit ``len(bi) - 1 - t`` set means choice 2 at bi[t]."""
+    choices = [1] * p
+    for t, i in enumerate(bi):
+        choices[i] = 1 + ((leaf >> (len(bi) - 1 - t)) & 1)
+    return BranchAssignment(tuple(choices))
+
+
+def _box(mult: MultiplierVector, bi: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The leaves whose sign region holds ``mult``, as (mask, value) on the leaf bits.
+
+    At biactive index i the point allows choice 1 when mu_i >= 0 and
+    choice 2 when nu_i >= 0 (the sign test :func:`min_norm_point` uses for
+    a feasible start); a leaf lies in the box when its bits under ``mask``
+    equal ``value``.  None when some index allows neither choice.
+    """
+    mask = value = 0
+    for one, two in zip((mult.mu[bi] >= 0.0).tolist(), (mult.nu[bi] >= 0.0).tolist()):
+        if not (one or two):
+            return None
+        mask, value = mask << 1 | (not (one and two)), value << 1 | (not one)
+    return mask, value
+
+
+@dataclass(frozen=True, eq=False)
+class BranchWalk:
+    """What the branch visit found, the record the branch table is expanded from.
+
+    The leaves are the 2^|biactive| assignments in lexicographic order,
+    numbered so that leaf j's choice at ``biactive[t]`` is 2 exactly when
+    bit ``len(biactive) - 1 - t`` of j is set.  ``points[k]`` is the polar
+    LP point of leaf ``leaves[k]``, in the order the LPs were solved, and
+    ``boxes[k]`` the (mask, value) of the leaves whose sign region holds
+    it (see :func:`_box`; None when it holds none).  ``failed`` is the
+    leaf whose polar LP was infeasible, None when every LP was feasible.
+    """
+
+    p: int
+    biactive: Tuple[int, ...]
+    leaves: Tuple[int, ...]
+    points: Tuple[MultiplierVector, ...]
+    boxes: Tuple[Optional[Tuple[int, int]], ...]
+    failed: Optional[int] = None
+
+    def expand(self) -> Tuple[List[BranchAssignment], List[int]]:
+        """Every leaf's assignment, with the index into ``points`` of its point.
+
+        A leaf's point is that of the first LP'd leaf (in solve order)
+        whose box holds it or which is the leaf itself; the failed leaf and
+        those after it get -1.
+        """
+        alphas = enumerate_branch_assignments(self.p, self.biactive)
+        owner = [-1] * len(alphas)
+        end = len(alphas) if self.failed is None else self.failed
+        for k, (leaf, box) in enumerate(zip(self.leaves, self.boxes)):
+            owner[leaf] = k  # no earlier box holds it, or it would not be LP'd
+            if box is not None:
+                mask, value = box
+                for j in range(end):
+                    if owner[j] < 0 and j & mask == value:
+                        owner[j] = k
+        return alphas, owner
+
+    def table(self) -> Tuple[BranchRecord, ...]:
+        alphas, owner = self.expand()
+        norms = [float(np.linalg.norm(np.concatenate([m.lam, m.eta, m.mu, m.nu])))
+                 for m in self.points]
+        rows = []
+        for j, (alpha, k) in enumerate(zip(alphas, owner)):
+            if k >= 0:
+                status = "optimal" if self.leaves[k] == j else "covered"
+                rows.append(BranchRecord(alpha, status, norms[k]))
+            else:
+                rows.append(BranchRecord(
+                    alpha, "infeasible" if j == self.failed else "not-evaluated", None))
+        return tuple(rows)
+
+
+def _walk_branches(cone: LinearizedCone, bi: List[int], w: np.ndarray,
+                   tol: Tolerances) -> BranchWalk:
+    """Solve the branch LPs that coverage leaves, in lexicographic leaf order.
+
+    The next LP is the first leaf that no earlier point's box holds.  A box
+    fixes the leaf bits under its mask, so when it holds a leaf it holds
+    the whole aligned block of leaves that agree with it above the mask's
+    lowest set bit: that subtree is skipped in one step.  LP'd leaves
+    come in increasing order, so each search resumes after the last one.
+    Stops at the first infeasible LP.
+    """
+    p = cone.data.p
+    leaves: List[int] = []
+    points: List[MultiplierVector] = []
+    boxes: List[Optional[Tuple[int, int]]] = []
+    leaf, end = 0, 1 << len(bi)
+    while leaf < end:
+        # the largest block one box holds: 2**z leaves, z its mask's trailing zeros
+        z = max(((mask & -mask).bit_length() - 1 if mask else len(bi)
+                 for mask, value in filter(None, boxes) if leaf & mask == value), default=-1)
+        if z >= 0:
+            leaf = ((leaf >> z) + 1) << z
+            continue
+        mult = polar_branch_membership(cone, _leaf_assignment(p, bi, leaf), w, tol.solver_tol)
+        if mult is None:
+            return BranchWalk(p, tuple(bi), tuple(leaves), tuple(points), tuple(boxes), leaf)
+        leaves.append(leaf)
+        points.append(mult)
+        boxes.append(_box(mult, bi))
+        leaf += 1
+    return BranchWalk(p, tuple(bi), tuple(leaves), tuple(points), tuple(boxes))
+
+
 @dataclass(frozen=True, eq=False)
 class StationarityVerdict:
-    """Certification outcome with witness, residuals and provenance."""
+    """Certification outcome with witness, residuals and provenance.
+
+    ``walk`` records the branch visit; ``branch_table`` is expanded from
+    it, one row per assignment, when it is first read.
+    """
 
     kind: VerdictKind
     witness: Optional[MultiplierVector]
     failed_branch: Optional[BranchAssignment]
     residuals: Dict[str, float]
-    branch_table: Tuple[BranchRecord, ...] = ()
+    walk: Optional[BranchWalk] = None
     combiner: Optional[CombineResult] = None
     sets: Optional[IndexSets] = None
 
     def __post_init__(self):
         if (self.witness is None) != (self.kind is VerdictKind.BRANCH_INFEASIBLE):
             raise ValueError("witness must be present exactly for M/S verdicts")
+
+    @functools.cached_property
+    def branch_table(self) -> Tuple[BranchRecord, ...]:
+        return () if self.walk is None else self.walk.table()
 
 
 def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
@@ -390,29 +532,34 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
     Classifies the active structure (raising :class:`InfeasiblePoint` on an
     infeasible point), then visits the 2^|biactive| branches of the
     biactive set in lexicographic order (assignments outside it are inert).
-    A branch whose sign region holds an earlier branch's LP point is
-    covered by it: that point solves the branch's own polar LP, so no LP
-    is solved for it.  Every other branch gets its polar LP.  The first
-    infeasible one ends the visit and yields a BranchInfeasible verdict
-    naming it; as covered branches are feasible, it is the
-    lexicographically smallest failing assignment.  Whether that means
-    "not a local minimizer" or "constraint qualification fails" cannot be
-    told apart from first-order data, so the verdict reports the raw fact.
+    Each LP point covers a box of branches, the product over the biactive
+    indices of the choices whose sign it meets (choice 1 where mu_i >= 0,
+    choice 2 where nu_i >= 0): it solves each such branch's own polar LP,
+    so no LP is solved for them.  The visit walks those boxes and solves
+    the polar LP of each branch that no earlier box holds, skipping any
+    subtree of branches that one box holds whole.  The first infeasible
+    one ends the visit and yields a BranchInfeasible verdict naming it; as
+    covered branches are feasible, it is the lexicographically smallest
+    failing assignment.  Whether that means "not a local minimizer" or
+    "constraint qualification fails" cannot be told apart from
+    first-order data, so the verdict reports the raw fact.
     When every branch has a point and the biactive set is non-empty, the
     witness is, in this order: the first branch point whose biactive
     mu_i and nu_i are all >= 0 (kind S, no further LP); the solution of
     the relaxed cone's polar LP, every biactive mu_i and nu_i bounded
     below by 0, when it is feasible (kind S); otherwise the combination
-    of the branch points by :func:`schinabeck_combine` (kind M).  So the
-    kind is S exactly when an S-multiplier exists, and an S verdict has
-    no combiner.  With no biactive index the one branch point goes
-    through the combiner and the kind is M.
+    of the branch points by :func:`schinabeck_combine`, which takes one
+    point per branch (kind M).  So the kind is S exactly when an
+    S-multiplier exists, and an S verdict has no combiner.  With no
+    biactive index the one branch point goes through the combiner and
+    the kind is M.  The per-branch table is expanded from the visit's
+    record only when ``branch_table`` is read.
 
     The returned witness always satisfies the base stationarity system
-    within ``cert_tol``, and an S witness has no biactive multiplier
-    below ``-cert_tol``.  The kind is S, M or BRANCH_INFEASIBLE; when
-    the solvers cannot decide, :class:`NumericalFailure` is raised
-    instead.
+    (see :meth:`ResidualReport.system_ok`) at ``cert_tol``, and an S
+    witness has no biactive multiplier below ``-cert_tol``.  The kind is
+    S, M or BRANCH_INFEASIBLE; when the solvers cannot decide,
+    :class:`NumericalFailure` is raised instead.
     """
     sets = classify_indices(data, tol)
     bi = sorted(sets.zero_zero)
@@ -421,53 +568,34 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
             f"biactive set has {len(bi)} indices, cap is {branch_cap}"
         )
 
-    alphas = enumerate_branch_assignments(data.p, bi)
-    signed = _sign_columns(alphas, bi, data.p)
-    owner = np.full(len(alphas), -1)  # index into `found` of each branch's point
-    found: List[MultiplierVector] = []
-    norms: List[float] = []
-    table: List[BranchRecord] = []
-    for j, alpha in enumerate(alphas):
-        status = "covered"
-        if owner[j] < 0:
-            mult = synthesize_branch_multipliers(data, sets, alpha, tol)
-            if mult is None:
-                table.append(BranchRecord(alpha, "infeasible", None))
-                table.extend(BranchRecord(a, "not-evaluated", None) for a in alphas[j + 1:])
-                return StationarityVerdict(
-                    kind=VerdictKind.BRANCH_INFEASIBLE,
-                    witness=None,
-                    failed_branch=alpha,
-                    residuals={},
-                    branch_table=tuple(table),
-                    combiner=None,
-                    sets=sets,
-                )
-            # the same sign test min_norm_point uses for a feasible start
-            in_region = (np.concatenate([mult.mu, mult.nu])[signed] >= 0.0).all(axis=1)
-            owner[(owner < 0) & in_region] = len(found)
-            owner[j] = len(found)
-            found.append(mult)
-            norms.append(float(np.linalg.norm(
-                np.concatenate([mult.lam, mult.eta, mult.mu, mult.nu]))))
-            status = "optimal"
-        table.append(BranchRecord(alpha, status, norms[owner[j]]))
+    cone = LinearizedCone(data, sets)
+    walk = _walk_branches(cone, bi, -data.grad_f, tol)
+    if walk.failed is not None:
+        return StationarityVerdict(
+            kind=VerdictKind.BRANCH_INFEASIBLE,
+            witness=None,
+            failed_branch=_leaf_assignment(data.p, bi, walk.failed),
+            residuals={},
+            walk=walk,
+            combiner=None,
+            sets=sets,
+        )
 
     # an S-multiplier lies in every branch's sign region, so it is itself
     # an M-witness; the combiner runs only when none exists
     s_point = None
     if bi:
-        s_point = next((mult for mult in found
+        s_point = next((mult for mult in walk.points
                         if (mult.mu[bi] >= 0.0).all() and (mult.nu[bi] >= 0.0).all()), None)
         if s_point is None:
-            s_point = polar_s_membership(LinearizedCone(data, sets), -data.grad_f,
-                                         tol.solver_tol)
+            s_point = polar_s_membership(cone, -data.grad_f, tol.solver_tol)
     if s_point is not None:
         kind, combine, witness = VerdictKind.S, None, s_point
         if (witness.mu[bi] < -tol.cert_tol).any() or (witness.nu[bi] < -tol.cert_tol).any():
             raise NumericalFailure("S witness has a biactive multiplier below -cert_tol")
     else:
-        combine = schinabeck_combine([(found[k], alpha) for k, alpha in zip(owner, alphas)],
+        alphas, owner = walk.expand()
+        combine = schinabeck_combine([(walk.points[k], alpha) for k, alpha in zip(owner, alphas)],
                                      bi, tol)
         kind, witness = VerdictKind.M, combine.multiplier
     residual_report = check_stationarity_system(data, sets, witness)
@@ -483,7 +611,7 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
         witness=witness,
         failed_branch=None,
         residuals=residuals,
-        branch_table=tuple(table),
+        walk=walk,
         combiner=combine,
         sets=sets,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from mpcc_cert.oracle import oracle_m_exists, oracle_s_exists
 from mpcc_cert.stationarity import m_condition_holds
 
 from conftest import bilinear_pair_data, m_not_s_instance
+from reference_visit import reference_certify
 
 
 def pair_sets(data):
@@ -692,6 +694,34 @@ class TestObjectiveScaling:
             assert scaled.kind is base.kind, trial
             assert scaled.failed_branch == base.failed_branch, trial
 
+    # acceptance-mix inputs whose S witness, with grad f scaled by 1e6, has a
+    # gradient residual of 1.2e-7 to 2.1e-6 from summing terms of 5e8 to 1.4e10
+    ROUNDOFF_INPUTS = (2, 46, 276, 1128, 1360)
+
+    @pytest.mark.parametrize("i", ROUNDOFF_INPUTS)
+    def test_scaled_gradient_certifies_with_unscaled_kind(self, i):
+        data = acceptance_mix_data(i)
+        base = certify_m_stationarity(data)
+        scaled = certify_m_stationarity(dataclasses.replace(data, grad_f=1e6 * data.grad_f))
+        assert scaled.kind is base.kind
+        assert scaled.failed_branch == base.failed_branch
+        rep = check_stationarity_system(data, scaled.sets, scaled.witness)
+        assert rep.gradient > Tolerances().cert_tol
+        assert rep.gradient_scale > 1e8
+
+    @pytest.mark.parametrize("i", ROUNDOFF_INPUTS)
+    def test_perturbed_witness_fails_at_unit_scale(self, i):
+        # the roundoff room is far below a real error at unit scale
+        data = acceptance_mix_data(i)
+        verdict = certify_m_stationarity(data)
+        sets, w = verdict.sets, verdict.witness
+        assert check_stationarity_system(data, sets, w).system_ok(Tolerances().cert_tol)
+        mu = w.mu.copy()
+        mu[sorted(sets.zero_zero)[0]] += 1e-6
+        rep = check_stationarity_system(data, sets, dataclasses.replace(w, mu=mu))
+        assert rep.gradient > 1e-7
+        assert not rep.system_ok(Tolerances().cert_tol)
+
 
 def swap_g_h(inst):
     return dataclasses.replace(inst, A_G=inst.A_H, b_G=inst.b_H, A_H=inst.A_G, b_H=inst.b_G)
@@ -775,3 +805,88 @@ class TestSKind:
                             lambda *args: m_witness)
         with pytest.raises(NumericalFailure, match="below -cert_tol"):
             certify_m_stationarity(data)
+
+
+def witness_bytes(witness):
+    if witness is None:
+        return None
+    return b"".join(v.tobytes() for v in (witness.lam, witness.eta, witness.mu, witness.nu))
+
+
+def table_rows(table):
+    return [(rec.alpha.choices, rec.status, rec.multiplier_norm) for rec in table]
+
+
+class TestBoxWalk:
+    """The box walk against the per-leaf visit it replaced (tests/reference_visit.py)."""
+
+    def assert_same_as_reference(self, monkeypatch, data):
+        solved = []
+        real = mpcc_cert.stationarity.polar_branch_membership
+
+        def recording(cone, alpha, *args):
+            solved.append(alpha.choices)
+            return real(cone, alpha, *args)
+
+        monkeypatch.setattr(mpcc_cert.stationarity, "polar_branch_membership", recording)
+        ref = reference_certify(data)
+        ref_solved, solved[:] = solved[:], []
+        verdict = certify_m_stationarity(data)
+        assert solved == ref_solved
+        assert verdict.kind is ref.kind
+        assert verdict.failed_branch == ref.failed_branch
+        assert witness_bytes(verdict.witness) == witness_bytes(ref.witness)
+        assert table_rows(verdict.branch_table) == table_rows(ref.branch_table)
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    @pytest.mark.parametrize("objective", ["seeded", "random"])
+    def test_matches_reference_on_ladder(self, monkeypatch, p, objective):
+        for i in range(10):
+            inst = random_affine_instance(np.random.default_rng([p, i]), 2 * p, 3, 1, p,
+                                          objective=objective, min_biactive=p)
+            self.assert_same_as_reference(monkeypatch, evaluate_affine(inst, np.zeros(inst.n)))
+
+    def test_matches_reference_on_acceptance_2(self, monkeypatch):
+        for _, inst in acceptance_2_instances():
+            self.assert_same_as_reference(monkeypatch, evaluate_affine(inst, np.zeros(inst.n)))
+
+    def test_lp_branch_owns_itself_outside_its_box(self, monkeypatch):
+        # a branch LP point whose own selected sign is below 0 (roundoff)
+        # still serves its own branch, as in the per-leaf visit; its box
+        # holds only branch (2, 1)
+        points = {(1, 1): mv(2, [-1e-17, 1.0], [1.0, -1.0]),
+                  (1, 2): mv(2, [1.0, 2.0], [1.0, 2.0])}
+        solved = []
+
+        def fake_lp(cone, alpha, w, tol):
+            solved.append(alpha.choices)
+            return points[alpha.choices]
+
+        monkeypatch.setattr(mpcc_cert.stationarity, "polar_branch_membership", fake_lp)
+        data = FirstOrderData(n=2, l=0, m=0, p=2, grad_f=np.zeros(2),
+                              G_vals=np.zeros(2), grad_G=np.eye(2),
+                              H_vals=np.zeros(2), grad_H=np.eye(2)[::-1].copy())
+        cone = mpcc_cert.cones.LinearizedCone(data, classify_indices(data))
+        walk = mpcc_cert.stationarity._walk_branches(cone, [0, 1], np.zeros(2), Tolerances())
+        assert solved == [(1, 1), (1, 2)]
+        assert walk.expand()[1] == [0, 1, 0, 1]
+        norms = [np.linalg.norm([-1e-17, 1.0, 1.0, -1.0]), np.linalg.norm([1.0, 2.0, 1.0, 2.0])]
+        assert table_rows(walk.table()) == [
+            ((1, 1), "optimal", norms[0]), ((1, 2), "optimal", norms[1]),
+            ((2, 1), "covered", norms[0]), ((2, 2), "covered", norms[1])]
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_large_biactive_set(self, monkeypatch, i):
+        # 2**24 branches: the walk solves a few LPs and never expands the table
+        branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
+        inst = random_affine_instance(np.random.default_rng([24, i]), 48, 3, 1, 24,
+                                      objective="seeded", min_biactive=24)
+        data = evaluate_affine(inst, np.zeros(48))
+        start = time.perf_counter()
+        verdict = certify_m_stationarity(data, branch_cap=24)
+        elapsed = time.perf_counter() - start
+        assert verdict.kind is VerdictKind.S
+        assert len(verdict.sets.zero_zero) == 24
+        assert branch_lps[0] <= 8
+        assert elapsed < 1.0
+        assert "branch_table" not in vars(verdict)
