@@ -3,9 +3,10 @@
 
 Useful for eyeballing how often random objectives admit certificates, how
 the branch count scales, how many branch LPs coverage and the early exit
-save, how many S-LPs run, and whether the oracles ever disagree with the
-constructive pipeline (they must not: every certified instance has an
-M-multiplier, and the kind is S exactly when ``oracle_s_exists`` finds one).
+save, how many S verdicts the first branch LP decides on its own, and
+whether the oracles ever disagree with the constructive pipeline (they
+must not: every certified instance has an M-multiplier, and the kind is S
+exactly when ``oracle_s_exists`` finds one).
 
 Example:
     python scripts/random_certify_experiment.py --count 100 --seed 3 --oracle
@@ -21,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-import mpcc_cert.stationarity
 from mpcc_cert import (
     VerdictKind,
     certify_m_stationarity,
@@ -31,19 +31,6 @@ from mpcc_cert import (
     oracle_s_exists,
 )
 from mpcc_cert.instances import random_affine_instance
-
-
-def count_s_lps() -> list:
-    """Count the S-LPs certify solves, at the binding it calls them through."""
-    calls = [0]
-    real = mpcc_cert.stationarity.polar_s_membership
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    mpcc_cert.stationarity.polar_s_membership = counting
-    return calls
 
 
 def main() -> int:
@@ -63,7 +50,7 @@ def main() -> int:
     statuses = Counter()
     disagreements = 0
     s_disagreements = 0
-    s_lps = count_s_lps()
+    s_at_leaf_0 = 0
     start = time.perf_counter()
     for trial in range(args.count):
         if args.objective == "mixed":
@@ -83,6 +70,8 @@ def main() -> int:
         verdicts[verdict.kind.value] += 1
         # reading the table expands it from the verdict's branch walk
         statuses.update(rec.status for rec in verdict.branch_table)
+        # the first branch LP's point lies in every branch's sign region
+        s_at_leaf_0 += verdict.kind is VerdictKind.S and verdict.walk.boxes[0] == (0, 0)
         if args.oracle and verdict.kind in (VerdictKind.M, VerdictKind.S):
             sets = classify_indices(data)
             exists, _ = oracle_m_exists(data, sets)
@@ -104,7 +93,8 @@ def main() -> int:
         print(f"  {kind:>18}: {count}")
     solved = statuses["optimal"] + statuses["infeasible"]
     print(f"branch LPs: {solved} solved, {statuses['covered']} covered, "
-          f"{statuses['not-evaluated']} not evaluated; S-LPs: {s_lps[0]} solved")
+          f"{statuses['not-evaluated']} not evaluated; "
+          f"S verdicts decided at leaf 0: {s_at_leaf_0} of {verdicts['S']}")
     if args.oracle:
         print(f"  oracle disagreements: {disagreements}")
         print(f"  S disagreements: {s_disagreements}")

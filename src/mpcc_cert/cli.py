@@ -74,6 +74,9 @@ _ERROR_EXITS = {
 
 
 def _merge_tolerances(file_tol: Optional[Tolerances], args) -> Tolerances:
+    if getattr(args, "tol", None) is not None and args.cert_tol is not None:
+        raise ParseError("--tol and --cert-tol are mutually exclusive (--tol is shorthand "
+                         "for --cert-tol)")
     tol = file_tol if file_tol is not None else Tolerances()
     for name in ("active_tol", "feas_tol", "solver_tol", "cert_tol"):
         flag, value = "--" + name.replace("_", "-"), getattr(args, name)
@@ -149,6 +152,16 @@ def _cmd_check(args, problem, tol) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit 1, like every other input error
     (argparse's own 2 would read as certify's "branch infeasible")."""
@@ -189,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify = sub.add_parser("certify", parents=[common],
                                help="construct and verify an M-stationarity certificate")
     p_certify.add_argument("--tol", type=float, default=None,
-                           help="shorthand for --cert-tol")
-    p_certify.add_argument("--branch-cap", type=int, default=12,
+                           help="shorthand for --cert-tol; not both")
+    p_certify.add_argument("--branch-cap", type=_nonnegative_int, default=12,
                            help="largest admissible biactive set (default 12)")
     p_certify.add_argument("--oracle", action="store_true",
                            help="also run the sign-pattern enumeration oracle")

@@ -4,7 +4,9 @@ Membership of a *given* direction is closed-form, so it is tested by
 direct inequality evaluation; LPs are reserved for polar membership,
 where a feasible multiplier system is exactly the certificate that a
 vector lies in the polar of a branch cone (or of the relaxed cone, whose
-polar holds the S-multipliers).
+polar holds the S-multipliers).  A branch LP minimizes the negative
+parts of the biactive multipliers it leaves free, so the first branch's
+LP finds an S-multiplier whenever one exists.
 """
 
 from __future__ import annotations
@@ -167,45 +169,62 @@ def branch_cone_inclusion_check(cone: LinearizedCone, alpha: BranchAssignment,
     return True
 
 
+def _biactive_mask(cone: LinearizedCone) -> np.ndarray:
+    mask = np.zeros(cone.data.p, dtype=bool)
+    mask[sorted(cone.sets.zero_zero)] = True
+    return mask
+
+
 def _polar_membership(cone: LinearizedCone, mu_signed: np.ndarray, nu_signed: np.ndarray,
                       w: np.ndarray, tol: float) -> Optional[MultiplierVector]:
     """The polar LP shared by the branch cones and the relaxed cone.
 
     ``mu_signed`` and ``nu_signed`` are masks over 0..p-1 naming the mu_i
     and nu_i bounded below by 0; lam is nonnegative on the active g and
-    every other multiplier is free.  Returns None when the LP is infeasible.
+    every other multiplier is free.  A free biactive multiplier is split
+    into two adjacent nonnegative columns, its row and the negated row,
+    and the negated one costs 1, so the LP returns the polar point with
+    the least total negative part over its free biactive multipliers.
+    The split is the one :func:`lp_solve` makes for a free variable, so
+    phase 1 is that of the feasibility LP.  Returns None when the LP is
+    infeasible.
     """
     data, sets = cone.data, cone.sets
     active_g = sorted(sets.active_g)
     mu_support = sorted(sets.zero_plus | sets.zero_zero)
     nu_support = sorted(sets.plus_zero | sets.zero_zero)
+    biactive = _biactive_mask(cone)
 
     # one column per multiplier: lam on the active g, eta, mu, nu on their supports
     rows = np.vstack([data.grad_g[active_g], data.grad_h,
                       -data.grad_G[mu_support], -data.grad_H[nu_support]])
     signed = np.concatenate([np.ones(len(active_g), dtype=bool), np.zeros(data.m, dtype=bool),
                              mu_signed[mu_support], nu_signed[nu_support]])
-    lp = LinearProgram(objective=np.zeros(signed.size), eq_matrix=rows.T, eq_rhs=w,
-                       bounds=[(0.0, None) if s else (None, None) for s in signed])
+    split = np.concatenate([np.zeros(len(active_g) + data.m, dtype=bool),
+                            biactive[mu_support], biactive[nu_support]]) & ~signed
+    first = np.arange(signed.size) + np.cumsum(split) - split  # each multiplier's first column
+    columns = np.repeat(rows, 1 + split, axis=0)
+    minus = first[split] + 1
+    columns[minus] *= -1.0
+    cost = np.zeros(columns.shape[0])
+    cost[minus] = 1.0
+    lower = np.repeat(signed | split, 1 + split)
+    lp = LinearProgram(objective=cost, eq_matrix=columns.T, eq_rhs=w,
+                       bounds=[(0.0, None) if s else (None, None) for s in lower])
     out = lp_solve(lp, tol)
     if out.status is LpStatus.INFEASIBLE:
         return None
     if out.status is not LpStatus.OPTIMAL:
         raise NumericalFailure("polar membership LP did not converge")
 
-    sol = out.solution
+    sol = out.solution[first]
+    sol[split] -= out.solution[minus]
     a, b, c = np.cumsum([len(active_g), data.m, len(mu_support)])
     lam, mu, nu = np.zeros(data.l), np.zeros(data.p), np.zeros(data.p)
     lam[active_g] = sol[:a]
     mu[mu_support] = sol[b:c]
     nu[nu_support] = sol[c:]
     return MultiplierVector(lam, sol[a:b], mu, nu)
-
-
-def _biactive_mask(cone: LinearizedCone) -> np.ndarray:
-    mask = np.zeros(cone.data.p, dtype=bool)
-    mask[sorted(cone.sets.zero_zero)] = True
-    return mask
 
 
 def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
@@ -219,8 +238,10 @@ def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
     nonnegative.  Feasibility of that linear system is decided by
     :func:`lp_solve`; infeasibility certifies that w is outside the polar.
 
-    Returns the multipliers (any basic feasible solution; no norm
-    minimization) or None when w is not in the polar.
+    Returns the multipliers or None when w is not in the polar.  Among
+    the polar points the LP returns a vertex with the least total
+    negative part over the biactive multipliers alpha leaves free; no
+    norm is minimized.
     """
     w = _check_direction(cone, w, "w")
     _check_alpha(cone, alpha)

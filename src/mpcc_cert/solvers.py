@@ -103,10 +103,9 @@ class LinearProgram:
             bounds = tuple((lo, hi) for lo, hi in self.bounds)
             if len(bounds) != d:
                 raise DimensionMismatch(f"bounds: expected {d} pairs, got {len(bounds)}")
-            for lo, hi in bounds:
-                for side in (lo, hi):
-                    if side is not None and not np.isfinite(side):
-                        raise ValueError("bounds entries must be finite or None")
+            if not np.isfinite([side for pair in bounds for side in pair
+                                if side is not None]).all():
+                raise ValueError("bounds entries must be finite or None")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", A_eq)
         object.__setattr__(self, "eq_rhs", b_eq)
@@ -123,10 +122,10 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
 
 
-def _simplex(T: np.ndarray, basis: list, tol: float, budget: list) -> str:
+def _simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: list) -> str:
     """Iterate Bland pivots on a tableau whose last row holds reduced costs.
 
     Returns "optimal" or "unbounded"; raises NumericalFailure when the
@@ -134,22 +133,21 @@ def _simplex(T: np.ndarray, basis: list, tol: float, budget: list) -> str:
     """
     nrows = T.shape[0] - 1
     while True:
-        red = T[-1, :-1]
-        candidates = np.nonzero(red < -tol)[0]
-        if candidates.size == 0:
+        eligible = T[-1, :-1] < -tol
+        j = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[j]:
             return "optimal"
         if budget[0] <= 0:
             raise NumericalFailure("simplex iteration cap exceeded")
         budget[0] -= 1
-        j = int(candidates[0])  # Bland: smallest eligible index
         col = T[:nrows, j]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
+        rows = (col > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = T[rows, -1] / col[rows]
-        rmin = ratios.min()
+        rmin = float(np.minimum.reduce(ratios))
         ties = rows[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
-        r = int(min(ties, key=lambda t: basis[t]))  # Bland tie-break on basis index
+        r = int(ties[basis[ties].argmin()])  # Bland tie-break on basis index
         _pivot(T, r, j)
         basis[r] = j
 
@@ -217,13 +215,11 @@ def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
     basis = np.zeros(m, dtype=int)
     basis[m_eq:] = np.arange(ns, art_start)
     basis[art_rows] = np.arange(art_start, ncols)
-    basis = basis.tolist()
     budget = [50 * (ncols + m)]
 
     # Phase 1: minimize the sum of artificials.
     T[-1, art_start:ncols] = 1.0
-    for r in art_rows:
-        T[-1] -= T[r]
+    T[-1] -= T[art_rows].sum(axis=0)
     if _simplex(T, basis, tol, budget) != "optimal":
         raise NumericalFailure("phase 1 reported an unbounded auxiliary problem")
     # the phase-1 residual carries roundoff of the right-hand side's size
@@ -232,32 +228,34 @@ def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = np.ones(m + 1, dtype=bool)
-    for r in range(m):
-        if basis[r] >= art_start:
-            cols = np.nonzero(np.abs(T[r, :art_start]) > PIVOT_TOL)[0]
-            if cols.size:
-                _pivot(T, r, cols[0])
-                basis[r] = int(cols[0])
-            else:
-                keep[r] = False
-    T = np.delete(T[keep], np.s_[art_start:ncols], axis=1)
-    basis = [bc for bc, kept in zip(basis, keep) if kept]
+    for r in np.nonzero(basis >= art_start)[0]:
+        cols = np.nonzero(np.abs(T[r, :art_start]) > PIVOT_TOL)[0]
+        if cols.size:
+            _pivot(T, r, cols[0])
+            basis[r] = cols[0]
+        else:
+            keep[r] = False
+    kept_cols = np.ones(ncols + 1, dtype=bool)
+    kept_cols[art_start:ncols] = False
+    T = T[keep][:, kept_cols]
+    basis = basis[keep[:m]]
 
-    # Phase 2: minimize the objective from the phase-1 basis.
+    # Phase 2: minimize the objective from the phase-1 basis; a zero
+    # objective leaves the phase-1 point optimal.
     c_std = np.zeros(art_start)
     c_std[:ns] = lp.objective[col_var] * col_sign
-    T[-1, :-1] = c_std
-    T[-1, -1] = 0.0
-    for r, bc in enumerate(basis):
-        if c_std[bc] != 0.0:
-            T[-1] -= c_std[bc] * T[r]
-    if _simplex(T, basis, tol, budget) == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
+    if c_std.any():
+        T[-1, :-1] = c_std
+        T[-1, -1] = 0.0
+        for r, bc in enumerate(basis):
+            if c_std[bc] != 0.0:
+                T[-1] -= c_std[bc] * T[r]
+        if _simplex(T, basis, tol, budget) == "unbounded":
+            return LpOutcome(LpStatus.UNBOUNDED)
 
     x_std = np.zeros(art_start)
     x_std[basis] = np.maximum(T[:-1, -1], 0.0)  # scrub roundoff negatives
-    z = offset
-    np.add.at(z, col_var, col_sign * x_std[:ns])
+    z = offset + np.bincount(col_var, col_sign * x_std[:ns], minlength=lp.n_vars)
 
     # Cheap self-check: a claimed optimum must still satisfy the input system.
     viol = 0.0

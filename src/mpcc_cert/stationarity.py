@@ -3,16 +3,18 @@
 The pipeline: classify the active structure, find a polar-membership
 point for every branch of the biactive set (one LP per branch that no
 earlier point's box of branches holds, walking the boxes rather than
-the 2^|biactive| branches and stopping at the first infeasible LP),
-then take an S-multiplier when one exists: a branch point with every
-biactive mu_i, nu_i >= 0, or else the polar LP of the relaxed cone.  An
-S-multiplier lies in every branch's sign region, so it is itself an
-M-witness.  Only when none exists is a convex combination of the branch
-multipliers selected whose biactive pairs satisfy the M-condition
-"(mu_i > 0 and nu_i > 0) or mu_i nu_i = 0".  The selection rule (take,
-among the per-branch minimum-norm points of the multiplier hull, one of
-maximal norm) guarantees the condition exactly in real arithmetic.
-The per-branch table is a view expanded from the walk when it is read.
+the 2^|biactive| branches and stopping at the first infeasible LP).
+Each branch LP returns the point with the least negative part over its
+free biactive multipliers, so the first branch's LP (every biactive
+mu_i >= 0, nu_i free) finds an S-multiplier exactly when one exists.
+An S-multiplier lies in every branch's sign region, so it ends the
+visit and is itself an M-witness.  Only when none exists is a convex
+combination of the branch multipliers selected whose biactive pairs
+satisfy the M-condition "(mu_i > 0 and nu_i > 0) or mu_i nu_i = 0".
+The selection rule (take, among the per-branch minimum-norm points of
+the multiplier hull, one of maximal norm) guarantees the condition
+exactly in real arithmetic.  The per-branch table is a view expanded
+from the walk when it is read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .cones import (
     LinearizedCone,
     enumerate_branch_assignments,
     polar_branch_membership,
-    polar_s_membership,
 )
 from .errors import (
     BranchBudgetExceeded,
@@ -467,6 +468,25 @@ class BranchWalk:
         return tuple(rows)
 
 
+def _s_multiplier_or_self(mult: MultiplierVector, bi: List[int], w: np.ndarray,
+                          tol: float) -> MultiplierVector:
+    """Leaf 0's LP point, with its free nu_i's roundoff cleared when it is an S-multiplier.
+
+    Every S-multiplier lies in leaf 0's polar (biactive mu_i >= 0, nu_i
+    free), and that LP returns the point with the least total negative
+    part over the nu_i.  So an S-multiplier exists exactly when that
+    optimum is zero, read within the tolerance :func:`lp_solve` gives a
+    zero phase-1 optimum, ``tol * (1 + max|w|)``.  Then the nu_i below
+    0 (roundoff) are set to 0, and the point lies in every sign region.
+    """
+    negative = np.maximum(-mult.nu[bi], 0.0)
+    if not 0.0 < negative.sum() <= tol * (1.0 + np.abs(w).max(initial=0.0)):
+        return mult
+    nu = mult.nu.copy()
+    nu[bi] += negative
+    return MultiplierVector(mult.lam, mult.eta, mult.mu, nu)
+
+
 def _walk_branches(cone: LinearizedCone, bi: List[int], w: np.ndarray,
                    tol: Tolerances) -> BranchWalk:
     """Solve the branch LPs that coverage leaves, in lexicographic leaf order.
@@ -476,7 +496,9 @@ def _walk_branches(cone: LinearizedCone, bi: List[int], w: np.ndarray,
     the whole aligned block of leaves that agree with it above the mask's
     lowest set bit: that subtree is skipped in one step.  LP'd leaves
     come in increasing order, so each search resumes after the last one.
-    Stops at the first infeasible LP.
+    Stops at the first infeasible LP.  Leaf 0's point, when it is an
+    S-multiplier (see :func:`_s_multiplier_or_self`), holds every leaf,
+    so the walk ends after that one LP.
     """
     p = cone.data.p
     leaves: List[int] = []
@@ -493,6 +515,8 @@ def _walk_branches(cone: LinearizedCone, bi: List[int], w: np.ndarray,
         mult = polar_branch_membership(cone, _leaf_assignment(p, bi, leaf), w, tol.solver_tol)
         if mult is None:
             return BranchWalk(p, tuple(bi), tuple(leaves), tuple(points), tuple(boxes), leaf)
+        if leaf == 0:
+            mult = _s_multiplier_or_self(mult, bi, w, tol.solver_tol)
         leaves.append(leaf)
         points.append(mult)
         boxes.append(_box(mult, bi))
@@ -543,21 +567,24 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
     failing assignment.  Whether that means "not a local minimizer" or
     "constraint qualification fails" cannot be told apart from
     first-order data, so the verdict reports the raw fact.
-    When every branch has a point and the biactive set is non-empty, the
-    witness is, in this order: the first branch point whose biactive
-    mu_i and nu_i are all >= 0 (kind S, no further LP); the solution of
-    the relaxed cone's polar LP, every biactive mu_i and nu_i bounded
-    below by 0, when it is feasible (kind S); otherwise the combination
-    of the branch points by :func:`schinabeck_combine`, which takes one
-    point per branch (kind M).  So the kind is S exactly when an
-    S-multiplier exists, and an S verdict has no combiner.  With no
+    The first branch's LP (every biactive mu_i >= 0, nu_i free) returns
+    its polar point with the least total negative part over the nu_i.
+    Every S-multiplier lies in that polar, so when the optimum is zero
+    (within ``solver_tol * (1 + max|grad f|)``, the nu_i below 0 by that
+    roundoff set to 0) the point is an S-multiplier: it lies in every
+    branch's sign region, so its box holds every branch, the visit ends
+    after one LP and the point is the witness (kind S, no combiner).
+    Otherwise no S-multiplier exists; when every branch has a point, the
+    witness is the combination of the branch points by
+    :func:`schinabeck_combine`, which takes one point per branch (kind
+    M).  So the kind is S exactly when an S-multiplier exists.  With no
     biactive index the one branch point goes through the combiner and
     the kind is M.  The per-branch table is expanded from the visit's
     record only when ``branch_table`` is read.
 
     The returned witness always satisfies the base stationarity system
     (see :meth:`ResidualReport.system_ok`) at ``cert_tol``, and an S
-    witness has no biactive multiplier below ``-cert_tol``.  The kind is
+    witness has every biactive mu_i, nu_i >= 0.  The kind is
     S, M or BRANCH_INFEASIBLE; when the solvers cannot decide,
     :class:`NumericalFailure` is raised instead.
     """
@@ -581,18 +608,10 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
             sets=sets,
         )
 
-    # an S-multiplier lies in every branch's sign region, so it is itself
-    # an M-witness; the combiner runs only when none exists
-    s_point = None
-    if bi:
-        s_point = next((mult for mult in walk.points
-                        if (mult.mu[bi] >= 0.0).all() and (mult.nu[bi] >= 0.0).all()), None)
-        if s_point is None:
-            s_point = polar_s_membership(cone, -data.grad_f, tol.solver_tol)
-    if s_point is not None:
-        kind, combine, witness = VerdictKind.S, None, s_point
-        if (witness.mu[bi] < -tol.cert_tol).any() or (witness.nu[bi] < -tol.cert_tol).any():
-            raise NumericalFailure("S witness has a biactive multiplier below -cert_tol")
+    # leaf 0's point holds every leaf exactly when it is an S-multiplier,
+    # which is itself an M-witness; the combiner runs only when none exists
+    if bi and walk.boxes[0] == (0, 0):
+        kind, combine, witness = VerdictKind.S, None, walk.points[0]
     else:
         alphas, owner = walk.expand()
         combine = schinabeck_combine([(walk.points[k], alpha) for k, alpha in zip(owner, alphas)],

@@ -30,10 +30,10 @@ from mpcc_cert import (
     check_stationarity_system,
     classify_indices,
     enumerate_branch_assignments,
+    polar_s_membership,
     schinabeck_combine,
     synthesize_branch_multipliers,
 )
-from mpcc_cert import stationarity
 from mpcc_cert.stationarity import _sign_columns
 
 
@@ -85,8 +85,8 @@ def reference_certify(data: FirstOrderData, tol: Tolerances = Tolerances(),
         s_point = next((mult for mult in found
                         if (mult.mu[bi] >= 0.0).all() and (mult.nu[bi] >= 0.0).all()), None)
         if s_point is None:
-            s_point = stationarity.polar_s_membership(LinearizedCone(data, sets), -data.grad_f,
-                                                      tol.solver_tol)
+            s_point = polar_s_membership(LinearizedCone(data, sets), -data.grad_f,
+                                         tol.solver_tol)
     if s_point is not None:
         kind, combine, witness = VerdictKind.S, None, s_point
     else:

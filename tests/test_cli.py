@@ -276,8 +276,14 @@ class TestCertifyCommand:
         main(["certify", path, "--json", "--tol", "1e-4", "--solver-tol", "1e-10"])
         tol = json.loads(capsys.readouterr().out)["tolerances"]
         assert (tol["cert_tol"], tol["solver_tol"], tol["feas_tol"]) == (1e-4, 1e-10, 1e-6)
-        main(["certify", path, "--json", "--tol", "1e-4", "--cert-tol", "1e-3"])
-        assert json.loads(capsys.readouterr().out)["tolerances"]["cert_tol"] == 1e-3
+
+    def test_tol_and_cert_tol_exclusive(self, capsys):
+        # --tol is shorthand for --cert-tol; given both, one was silently dropped
+        path = f"{PROBLEMS}/bilinear_min.json"
+        assert main(["certify", path, "--json", "--tol", "1e-4", "--cert-tol", "1e-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol and --cert-tol are mutually exclusive")
 
     def test_determinism_modulo_timing(self, capsys):
         main(["certify", f"{PROBLEMS}/m_not_s.json", "--json", "--oracle"])
@@ -379,6 +385,10 @@ class TestFrontDoor:
         ([], "mpcc-cert: error: the following arguments are required: command"),
         (["verify", "{p}"], "mpcc-cert: error: argument command: invalid choice: 'verify'"),
         (["classify", "{p}", "--oracle"], "mpcc-cert: error: unrecognized arguments: --oracle"),
+        (["certify", "{p}", "--branch-cap", "-1"], "mpcc-cert certify: error: argument "
+         "--branch-cap: expected a nonnegative integer, got '-1'"),
+        (["certify", "{p}", "--branch-cap", "two"], "mpcc-cert certify: error: argument "
+         "--branch-cap: expected a nonnegative integer, got 'two'"),
     ])
     def test_usage_error_exit_one(self, capsys, argv, message):
         # exit 2 would read as certify's "branch infeasible"

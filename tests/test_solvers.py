@@ -59,10 +59,21 @@ class TestLpSolve:
         T = np.array([[1.0, 2.0, 1.0, 4.0],
                       [-1.0, -1.0, 0.0, 0.0]])
         with pytest.raises(NumericalFailure, match="iteration cap"):
-            _simplex(T, [2], 1e-9, [0])
+            _simplex(T, np.array([2]), 1e-9, [0])
         budget = [1]
-        assert _simplex(T, [2], 1e-9, budget) == "optimal"
+        assert _simplex(T, np.array([2]), 1e-9, budget) == "optimal"
         assert budget == [0] and T[-1, -1] == 4.0
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 17, 64])
+    def test_phase_one_row_is_the_sequential_subtraction(self, k):
+        # lp_solve forms the phase-1 cost row with one sum over the
+        # artificial rows; it keeps the pivots of subtracting the rows one
+        # by one only while numpy adds them in order, bit for bit
+        rows = np.random.default_rng(k).standard_normal((k, 40))
+        sequential = np.zeros(40)
+        for row in rows:
+            sequential -= row
+        assert (np.zeros(40) - rows.sum(axis=0)).tobytes() == sequential.tobytes()
 
     def test_redundant_equality_rows_dropped(self):
         # a duplicated equality leaves a basic artificial that cannot pivot out

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpcc_cert.cones
@@ -18,7 +18,6 @@ from mpcc_cert import (
     MinNormProblem,
     MultiplierClass,
     MultiplierVector,
-    NumericalFailure,
     SystemViolated,
     Tolerances,
     VerdictKind,
@@ -338,26 +337,28 @@ class TestCombine:
         for i in bi:
             assert m_condition_holds(res.multiplier.mu[i], res.multiplier.nu[i], 1e-7)
 
+    # (mu, nu) of the eight branches' own LP points of the acceptance-mix
+    # problem drawn from default_rng([7, 238]) (n, l, m, p = 6, 3, 3, 3,
+    # every pair biactive), as the feasibility-only branch LPs found them;
+    # five are distinct, and rows 0 and 2 differ only in the last digits
+    REPEATED_ROWS = np.array([
+        [0.0, 4.045676069872135, 0.0, 7.061032661259224, 0.0, 0.0],
+        [13.181710581861822, 0.0, -10.698416483930231, 2.259258696873594, 0.0, 0.0],
+        [0.0, 4.045676069872129, 0.0, 7.061032661259217, 0.0, 0.0],
+        [0.0, 4.045676069872129, 0.0, 7.061032661259217, 0.0, 0.0],
+        [-2.7975682002411353, 0.0, 0.0, 3.0445597388630166, 0.0, 0.0],
+        [13.181710581861822, 0.0, -10.698416483930231, 2.259258696873594, 0.0, 0.0],
+        [-208.78191566165992, -12.824405116016365, 131.97294852569982, 0.0, 0.0, 0.0],
+        [-208.78191566165992, -12.824405116016365, 131.97294852569982, 0.0, 0.0, 0.0],
+    ])
+
     def test_repeated_rows_match_the_distinct_hull(self):
-        # the eight branches' own LP points of this problem hold five
-        # distinct ones; an earlier active-set QP hit its iteration cap on
-        # the repeated rows in region (2, 2, 2)
-        rng = np.random.default_rng([7, 238])
-        n, l, m, p = (int(rng.integers(2, 7)), int(rng.integers(0, 4)),
-                      int(rng.integers(0, 4)), int(rng.integers(1, 5)))
-        assert (n, l, m, p) == (6, 3, 3, 3)
-        data = evaluate_affine(random_affine_instance(rng, n, l, m, p, objective="random"),
-                               np.zeros(n))
-        sets = classify_indices(data)
-        bi = sorted(sets.zero_zero)
-        assert bi == [0, 1, 2]
-        stacked = np.array([
-            np.concatenate([mult.mu, mult.nu]) for mult in (
-                synthesize_branch_multipliers(data, sets, alpha)
-                for alpha in enumerate_branch_assignments(p, bi))])
+        # an earlier active-set QP hit its iteration cap on these repeated
+        # rows in region (2, 2, 2)
+        stacked = self.REPEATED_ROWS
         distinct = np.unique(stacked, axis=0)
         assert distinct.shape[0] == 5
-        signed = tuple(p + i for i in bi)  # region (2, 2, 2): every nu_i >= 0
+        signed = (3, 4, 5)  # region (2, 2, 2): every nu_i >= 0
         got = min_norm_point(MinNormProblem(stacked, signed))
         ref = min_norm_point(MinNormProblem(distinct, signed))
         assert got.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
@@ -519,17 +520,15 @@ class TestCertify:
     def test_branch_and_qp_counts(self, monkeypatch):
         lp_calls = count_lp_solves(monkeypatch)
         branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
-        s_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_s_membership")
         qp_calls = count_calls(monkeypatch, mpcc_cert.stationarity, "min_norm_point")
         inst = m_not_s_instance()
         data = evaluate_affine(inst, np.zeros(3))
         verdict = certify_m_stationarity(data)
         n_biactive = len(verdict.sets.zero_zero)
-        # no branch point is S, so one S-LP runs after the branch visit and
-        # finds none; then the combiner builds the M-witness
+        # the first branch LP's positive optimum shows that no S-multiplier
+        # exists, so no other LP runs; then the combiner builds the M-witness
         assert branch_lps[0] == 2 ** n_biactive
-        assert s_lps[0] == 1
-        assert lp_calls[0] == branch_lps[0] + s_lps[0]
+        assert lp_calls[0] == branch_lps[0]
         assert verdict.kind is VerdictKind.M
         # at most one QP per node of the combiner's relaxation tree
         assert qp_calls[0] <= 2 ** (n_biactive + 1) - 1
@@ -723,6 +722,37 @@ class TestObjectiveScaling:
         assert not rep.system_ok(Tolerances().cert_tol)
 
 
+def witness_vector(witness):
+    return np.concatenate([witness.lam, witness.eta, witness.mu, witness.nu])
+
+
+class TestMetamorphic:
+    """Transformations that leave the mathematics unchanged leave the verdict unchanged."""
+
+    @given(st.integers(0, 1999), st.floats(-6.0, 6.0), st.integers(0, 2 ** 31 - 1))
+    @example(i=0, exponent=-6.0, seed=0)
+    @example(i=0, exponent=6.0, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_scaling_and_row_order(self, i, exponent, seed):
+        # scaling grad f by c > 0 scales every polar point by c, so the kind
+        # and failed branch stay and an S witness scales by c; the order of
+        # the g and h rows only reorders lam and eta
+        data = acceptance_mix_data(i)
+        base = certify_m_stationarity(data)
+        c = 10.0 ** exponent
+        scaled = certify_m_stationarity(dataclasses.replace(data, grad_f=c * data.grad_f))
+        assert (scaled.kind, scaled.failed_branch) == (base.kind, base.failed_branch)
+        if base.kind is VerdictKind.S:
+            want = c * witness_vector(base.witness)
+            assert np.abs(witness_vector(scaled.witness) - want).max() <= 1e-9 * np.abs(want).max()
+        rng = np.random.default_rng(seed)
+        pg, ph = rng.permutation(data.l), rng.permutation(data.m)
+        permuted = certify_m_stationarity(dataclasses.replace(
+            data, g_vals=data.g_vals[pg], grad_g=data.grad_g[pg],
+            h_vals=data.h_vals[ph], grad_h=data.grad_h[ph]))
+        assert (permuted.kind, permuted.failed_branch) == (base.kind, base.failed_branch)
+
+
 def swap_g_h(inst):
     return dataclasses.replace(inst, A_G=inst.A_H, b_G=inst.b_H, A_H=inst.A_G, b_H=inst.b_G)
 
@@ -770,8 +800,8 @@ class TestSKind:
         assert kind_and_s_exists(permute(inst, rng)) == (kind, exists)
 
     def test_s_verdict_skips_the_combiner(self, monkeypatch):
-        # seeded-wide instance 0: its first branch point is already S
-        s_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_s_membership")
+        # seeded-wide instance 0: the first branch LP finds an S-multiplier
+        branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
         combines = count_calls(monkeypatch, mpcc_cert.stationarity, "schinabeck_combine")
         qp_calls = count_calls(monkeypatch, mpcc_cert.stationarity, "min_norm_point")
         inst = random_affine_instance(np.random.default_rng([6, 0]), 12, 3, 1, 6,
@@ -779,32 +809,51 @@ class TestSKind:
         verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(12)))
         assert verdict.kind is VerdictKind.S
         assert verdict.combiner is None
-        assert (s_lps[0], combines[0], qp_calls[0]) == (0, 0, 0)
+        assert (branch_lps[0], combines[0], qp_calls[0]) == (1, 0, 0)
         assert verdict.residuals["m_condition"] == 0.0
 
-    def test_s_lp_decides_when_no_branch_point_is_s(self, monkeypatch):
-        # seeded-wide instance 18: no branch point it finds is S, but the
-        # generator built an S-multiplier in; the S-LP finds one
-        s_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_s_membership")
+    @pytest.mark.parametrize("i", range(40))
+    def test_first_branch_lp_decides_s(self, monkeypatch, i):
+        # the seeded-wide pool: the generator builds an S-multiplier into
+        # every instance, and the first branch LP, which minimizes the
+        # negative parts of its free nu_i, finds one (on instance 18 no
+        # feasibility-only branch point was S, and a separate S-LP was needed)
+        lp_calls = count_lp_solves(monkeypatch)
+        branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
         combines = count_calls(monkeypatch, mpcc_cert.stationarity, "schinabeck_combine")
-        inst = random_affine_instance(np.random.default_rng([6, 18]), 12, 3, 1, 6,
+        inst = random_affine_instance(np.random.default_rng([6, i]), 12, 3, 1, 6,
                                       objective="seeded", min_biactive=6)
         verdict = certify_m_stationarity(evaluate_affine(inst, np.zeros(12)))
         assert verdict.kind is VerdictKind.S
         assert verdict.combiner is None
         assert (verdict.witness.mu >= 0.0).all() and (verdict.witness.nu >= 0.0).all()
-        assert (s_lps[0], combines[0]) == (1, 0)
+        assert (branch_lps[0], lp_calls[0], combines[0]) == (1, 1, 0)
+        assert verdict.walk.leaves == (0,)
+        assert {rec.status for rec in verdict.branch_table[1:]} == {"covered"}
 
-    def test_s_witness_below_minus_cert_tol_raises(self, monkeypatch):
-        # an S-LP answer with a negative biactive sign is a solver fault: it
-        # raises instead of being demoted to an M verdict
-        data = evaluate_affine(m_not_s_instance(), np.zeros(3))
-        m_witness = certify_m_stationarity(data).witness
-        assert min(m_witness.mu[0], m_witness.nu[0]) < -1e-3
-        monkeypatch.setattr(mpcc_cert.stationarity, "polar_s_membership",
-                            lambda *args: m_witness)
-        with pytest.raises(NumericalFailure, match="below -cert_tol"):
-            certify_m_stationarity(data)
+    def test_roundoff_below_zero_at_leaf_0_is_s(self, monkeypatch):
+        # rounded data leave one free nu_i of the first branch LP's optimal
+        # vertex at -9.5e-16, within the LP tolerance: an S-multiplier,
+        # whose roundoff is cleared so that its box holds every branch
+        rng = np.random.default_rng([99, 11103])
+        n, l, m, p = (int(rng.integers(2, 9)), int(rng.integers(0, 6)),
+                      int(rng.integers(0, 4)), int(rng.integers(1, 6)))
+        inst = random_affine_instance(rng, n, l, m, p, objective="random",
+                                      min_biactive=int(rng.integers(1, p + 1)))
+        inst = dataclasses.replace(inst, c=np.round(inst.c), A_g=np.round(inst.A_g),
+                                   A_G=np.round(inst.A_G), A_H=np.round(inst.A_H))
+        data = evaluate_affine(inst, np.zeros(n))
+        sets = classify_indices(data)
+        bi = sorted(sets.zero_zero)
+        assert bi == [0, 1, 2]
+        raw = synthesize_branch_multipliers(data, sets, BranchAssignment((1, 1, 1)))
+        assert -1e-15 <= raw.nu[bi].min() < 0.0
+        branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
+        verdict = certify_m_stationarity(data)
+        assert verdict.kind is VerdictKind.S
+        assert branch_lps[0] == 1
+        assert (verdict.witness.mu[bi] >= 0.0).all() and (verdict.witness.nu[bi] >= 0.0).all()
+        assert oracle_s_exists(data, sets)[0]
 
 
 def witness_bytes(witness):
@@ -877,7 +926,8 @@ class TestBoxWalk:
 
     @pytest.mark.parametrize("i", range(5))
     def test_large_biactive_set(self, monkeypatch, i):
-        # 2**24 branches: the walk solves a few LPs and never expands the table
+        # 2**24 branches: the first LP finds an S-multiplier, which covers
+        # every branch, and the table is never expanded
         branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
         inst = random_affine_instance(np.random.default_rng([24, i]), 48, 3, 1, 24,
                                       objective="seeded", min_biactive=24)
@@ -887,6 +937,6 @@ class TestBoxWalk:
         elapsed = time.perf_counter() - start
         assert verdict.kind is VerdictKind.S
         assert len(verdict.sets.zero_zero) == 24
-        assert branch_lps[0] <= 8
+        assert branch_lps[0] == 1
         assert elapsed < 1.0
         assert "branch_table" not in vars(verdict)
