@@ -13,7 +13,6 @@ from .cones import (
     branch_cone_inclusion_check,
     enumerate_branch_assignments,
     polar_branch_membership,
-    polar_s_membership,
     polar_separating_direction,
     tmpcclin_contains,
 )
@@ -72,7 +71,6 @@ from .stationarity import (
     check_stationarity_system,
     classify_multiplier,
     schinabeck_combine,
-    synthesize_branch_multipliers,
 )
 
 __version__ = "0.1.0"

@@ -3,17 +3,15 @@
 Membership of a *given* direction is closed-form, so it is tested by
 direct inequality evaluation; LPs are reserved for polar membership,
 where a feasible multiplier system is exactly the certificate that a
-vector lies in the polar of a branch cone (or of the relaxed cone, whose
-polar holds the S-multipliers).  A branch LP minimizes the negative
-parts of the biactive multipliers it leaves free, so the first branch's
-LP finds an S-multiplier whenever one exists.
+vector lies in the polar of a branch cone.  A branch LP minimizes the
+negative parts of the biactive multipliers it leaves free, so the first
+branch's LP finds an S-multiplier whenever one exists.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,30 +41,77 @@ class BranchAssignment:
         return tuple(self.choices[i] for i in sorted(biactive))
 
 
+def _leaf_assignment(p: int, bi: Sequence[int], leaf: int) -> BranchAssignment:
+    """The assignment of leaf ``leaf``: bit ``len(bi) - 1 - t`` set means choice 2 at bi[t]."""
+    choices = [1] * p
+    for t, i in enumerate(bi):
+        choices[i] = 1 + ((leaf >> (len(bi) - 1 - t)) & 1)
+    return BranchAssignment(tuple(choices))
+
+
 def enumerate_branch_assignments(p: int, biactive: Iterable[int]) -> list:
-    """All 2^|biactive| assignments in lexicographic order, inert entries 1."""
+    """All 2^|biactive| assignments in lexicographic order (leaf order), inert entries 1."""
     bi = sorted(biactive)
     if any(not 0 <= i < p for i in bi):
         raise DimensionMismatch(f"biactive indices must lie in 0..{p - 1}, got {bi}")
-    out = []
-    for combo in itertools.product((1, 2), repeat=len(bi)):
-        choices = [1] * p
-        for i, c in zip(bi, combo):
-            choices[i] = c
-        out.append(BranchAssignment(tuple(choices)))
-    return out
+    return [_leaf_assignment(p, bi, leaf) for leaf in range(1 << len(bi))]
+
+
+def _indices(members: Iterable[int]) -> np.ndarray:
+    return np.array(sorted(members), dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearizedCone:
-    """View over point data and its index partition defining the cone rows."""
+    """Point data and its index partition, with the arrays the cone rows are cut from.
+
+    The arrays are built once, at construction.  ``active_g``,
+    ``mu_support`` (I^0+ and I^00), ``nu_support`` (I^+0 and I^00) and
+    ``biactive`` (I^00) are sorted index arrays.  ``eq_rows`` (the h rows,
+    G on I^0+ and H on I^+0) and ``leq_rows`` (g on its active set) are
+    the rows every branch cone shares.  ``polar_rows`` has one row per
+    polar multiplier: lam on the active g, eta, then mu and nu on their
+    supports with the G and H rows negated; ``polar_biactive`` flags the
+    mu and nu rows of biactive indices, whose signs a branch decides.
+    """
 
     data: FirstOrderData
     sets: IndexSets
+    active_g: np.ndarray = field(init=False, repr=False)
+    mu_support: np.ndarray = field(init=False, repr=False)
+    nu_support: np.ndarray = field(init=False, repr=False)
+    biactive: np.ndarray = field(init=False, repr=False)
+    eq_rows: np.ndarray = field(init=False, repr=False)
+    leq_rows: np.ndarray = field(init=False, repr=False)
+    polar_rows: np.ndarray = field(init=False, repr=False)
+    polar_biactive: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.sets.l != self.data.l or self.sets.p != self.data.p:
+        data, sets = self.data, self.sets
+        if sets.l != data.l or sets.p != data.p:
             raise DimensionMismatch("index sets do not match the data dimensions")
+        active_g = _indices(sets.active_g)
+        mu_support = _indices(sets.zero_plus | sets.zero_zero)
+        nu_support = _indices(sets.plus_zero | sets.zero_zero)
+        biactive = _indices(sets.zero_zero)
+        is_biactive = np.zeros(data.p, dtype=bool)
+        is_biactive[biactive] = True
+        arrays = {
+            "active_g": active_g,
+            "mu_support": mu_support,
+            "nu_support": nu_support,
+            "biactive": biactive,
+            "eq_rows": np.vstack([data.grad_h, data.grad_G[_indices(sets.zero_plus)],
+                                  data.grad_H[_indices(sets.plus_zero)]]),
+            "leq_rows": data.grad_g[active_g],
+            "polar_rows": np.vstack([data.grad_g[active_g], data.grad_h,
+                                     -data.grad_G[mu_support], -data.grad_H[nu_support]]),
+            "polar_biactive": np.concatenate([np.zeros(active_g.size + data.m, dtype=bool),
+                                              is_biactive[mu_support], is_biactive[nu_support]]),
+        }
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def _check_direction(cone: LinearizedCone, d, name: str = "direction") -> np.ndarray:
@@ -81,31 +126,17 @@ def _check_alpha(cone: LinearizedCone, alpha: BranchAssignment) -> None:
         raise DimensionMismatch("alpha has wrong length")
 
 
-def _common_rows(cone: LinearizedCone):
-    """Rows every branch cone shares: (equalities, <=0 rows).
-
-    The equalities are the h rows, G on I^0+ and H on I^+0; the <=0 rows
-    are g on its active set.
-    """
-    data, sets = cone.data, cone.sets
-    eq_rows = np.vstack([data.grad_h, data.grad_G[sorted(sets.zero_plus)],
-                         data.grad_H[sorted(sets.plus_zero)]])
-    return eq_rows, data.grad_g[sorted(sets.active_g)]
-
-
 def _branch_system(cone: LinearizedCone, alpha: BranchAssignment):
     """Rows of the branch cone split by sense: (equalities, >=0 rows, <=0 rows).
 
     The shared rows come first; each biactive index then adds its
     alpha-pinned slope to the equalities and the other one to the >=0 rows.
     """
-    data = cone.data
-    eq_rows, leq_rows = _common_rows(cone)
-    bi = sorted(cone.sets.zero_zero)
-    pin_h = np.array([alpha.choices[i] == 1 for i in bi], dtype=bool)[:, None]
-    G, H = data.grad_G[bi], data.grad_H[bi]
-    return (np.vstack([eq_rows, np.where(pin_h, H, G)]),
-            np.where(pin_h, G, H), leq_rows)
+    bi = cone.biactive
+    pin_h = (np.array(alpha.choices, dtype=int)[bi] == 1)[:, None]
+    G, H = cone.data.grad_G[bi], cone.data.grad_H[bi]
+    return (np.vstack([cone.eq_rows, np.where(pin_h, H, G)]),
+            np.where(pin_h, G, H), cone.leq_rows)
 
 
 def _outside(d: np.ndarray, tol: float, eq_rows, geq_rows, leq_rows) -> bool:
@@ -122,10 +153,8 @@ def tmpcclin_contains(cone: LinearizedCone, d, tol: float = DEFAULT_SOLVER_TOL) 
     a deliberate simple choice over scaling-aware alternatives.
     """
     d = _check_direction(cone, d)
-    eq_rows, leq_rows = _common_rows(cone)
-    bi = sorted(cone.sets.zero_zero)
-    G, H = cone.data.grad_G[bi], cone.data.grad_H[bi]
-    if _outside(d, tol, eq_rows, np.vstack([G, H]), leq_rows):
+    G, H = cone.data.grad_G[cone.biactive], cone.data.grad_H[cone.biactive]
+    if _outside(d, tol, cone.eq_rows, np.vstack([G, H]), cone.leq_rows):
         return False
     return not (np.abs((G @ d) * (H @ d)) > tol).any()
 
@@ -169,41 +198,38 @@ def branch_cone_inclusion_check(cone: LinearizedCone, alpha: BranchAssignment,
     return True
 
 
-def _biactive_mask(cone: LinearizedCone) -> np.ndarray:
-    mask = np.zeros(cone.data.p, dtype=bool)
-    mask[sorted(cone.sets.zero_zero)] = True
-    return mask
+def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
+                            tol: float = DEFAULT_SOLVER_TOL) -> Optional[MultiplierVector]:
+    """Express w as a polar combination of the branch cone's rows, via LP.
 
+    The polar of the branch cone consists of all combinations
+    sum lam_i grad g_i + sum eta_j grad h_j - sum mu_i grad G_i - sum nu_i grad H_i
+    with lam >= 0 on the active set, mu supported on the G-active indices,
+    nu on the H-active indices, and the alpha-selected biactive multiplier
+    nonnegative; every other multiplier is free.  Feasibility of that
+    linear system is decided by :func:`lp_solve`; infeasibility certifies
+    that w is outside the polar.
 
-def _polar_membership(cone: LinearizedCone, mu_signed: np.ndarray, nu_signed: np.ndarray,
-                      w: np.ndarray, tol: float) -> Optional[MultiplierVector]:
-    """The polar LP shared by the branch cones and the relaxed cone.
-
-    ``mu_signed`` and ``nu_signed`` are masks over 0..p-1 naming the mu_i
-    and nu_i bounded below by 0; lam is nonnegative on the active g and
-    every other multiplier is free.  A free biactive multiplier is split
-    into two adjacent nonnegative columns, its row and the negated row,
-    and the negated one costs 1, so the LP returns the polar point with
-    the least total negative part over its free biactive multipliers.
-    The split is the one :func:`lp_solve` makes for a free variable, so
-    phase 1 is that of the feasibility LP.  Returns None when the LP is
-    infeasible.
+    A free biactive multiplier is split into two adjacent nonnegative
+    columns, its row and the negated row, and the negated one costs 1, so
+    the LP returns a vertex with the least total negative part over the
+    biactive multipliers alpha leaves free; no norm is minimized.  The
+    split is the one :func:`lp_solve` makes for a free variable, so phase
+    1 is that of the feasibility LP.  Returns the multipliers, or None
+    when w is not in the polar.
     """
-    data, sets = cone.data, cone.sets
-    active_g = sorted(sets.active_g)
-    mu_support = sorted(sets.zero_plus | sets.zero_zero)
-    nu_support = sorted(sets.plus_zero | sets.zero_zero)
-    biactive = _biactive_mask(cone)
-
-    # one column per multiplier: lam on the active g, eta, mu, nu on their supports
-    rows = np.vstack([data.grad_g[active_g], data.grad_h,
-                      -data.grad_G[mu_support], -data.grad_H[nu_support]])
-    signed = np.concatenate([np.ones(len(active_g), dtype=bool), np.zeros(data.m, dtype=bool),
-                             mu_signed[mu_support], nu_signed[nu_support]])
-    split = np.concatenate([np.zeros(len(active_g) + data.m, dtype=bool),
-                            biactive[mu_support], biactive[nu_support]]) & ~signed
+    w = _check_direction(cone, w, "w")
+    _check_alpha(cone, alpha)
+    data = cone.data
+    one = np.array(alpha.choices, dtype=int) == 1
+    n_lam = cone.active_g.size
+    # one column per multiplier, split where a biactive one is left free
+    signed = cone.polar_biactive & np.concatenate([
+        np.zeros(n_lam + data.m, dtype=bool), one[cone.mu_support], ~one[cone.nu_support]])
+    signed[:n_lam] = True
+    split = cone.polar_biactive & ~signed
     first = np.arange(signed.size) + np.cumsum(split) - split  # each multiplier's first column
-    columns = np.repeat(rows, 1 + split, axis=0)
+    columns = np.repeat(cone.polar_rows, 1 + split, axis=0)
     minus = first[split] + 1
     columns[minus] *= -1.0
     cost = np.zeros(columns.shape[0])
@@ -219,50 +245,12 @@ def _polar_membership(cone: LinearizedCone, mu_signed: np.ndarray, nu_signed: np
 
     sol = out.solution[first]
     sol[split] -= out.solution[minus]
-    a, b, c = np.cumsum([len(active_g), data.m, len(mu_support)])
+    a, b, c = np.cumsum([n_lam, data.m, cone.mu_support.size])
     lam, mu, nu = np.zeros(data.l), np.zeros(data.p), np.zeros(data.p)
-    lam[active_g] = sol[:a]
-    mu[mu_support] = sol[b:c]
-    nu[nu_support] = sol[c:]
+    lam[cone.active_g] = sol[:a]
+    mu[cone.mu_support] = sol[b:c]
+    nu[cone.nu_support] = sol[c:]
     return MultiplierVector(lam, sol[a:b], mu, nu)
-
-
-def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
-                            tol: float = DEFAULT_SOLVER_TOL) -> Optional[MultiplierVector]:
-    """Express w as a polar combination of the branch cone's rows, via LP.
-
-    The polar of the branch cone consists of all combinations
-    sum lam_i grad g_i + sum eta_j grad h_j - sum mu_i grad G_i - sum nu_i grad H_i
-    with lam >= 0 on the active set, mu supported on the G-active indices,
-    nu on the H-active indices, and the alpha-selected biactive multiplier
-    nonnegative.  Feasibility of that linear system is decided by
-    :func:`lp_solve`; infeasibility certifies that w is outside the polar.
-
-    Returns the multipliers or None when w is not in the polar.  Among
-    the polar points the LP returns a vertex with the least total
-    negative part over the biactive multipliers alpha leaves free; no
-    norm is minimized.
-    """
-    w = _check_direction(cone, w, "w")
-    _check_alpha(cone, alpha)
-    biactive = _biactive_mask(cone)
-    choices = np.asarray(alpha.choices)
-    return _polar_membership(cone, biactive & (choices == 1), biactive & (choices == 2), w, tol)
-
-
-def polar_s_membership(cone: LinearizedCone, w,
-                       tol: float = DEFAULT_SOLVER_TOL) -> Optional[MultiplierVector]:
-    """Express w as a polar combination of the relaxed cone's rows, via LP.
-
-    The relaxed cone asks both linearized slopes to be nonnegative on
-    every biactive index, so its polar is the branch polar with every
-    biactive mu_i and nu_i nonnegative: the S-multipliers when w is
-    -grad f.  Such a point lies in every branch's sign region.  Returns
-    the multipliers, or None when w is not in the polar.
-    """
-    w = _check_direction(cone, w, "w")
-    biactive = _biactive_mask(cone)
-    return _polar_membership(cone, biactive, biactive, w, tol)
 
 
 def polar_separating_direction(cone: LinearizedCone, alpha: BranchAssignment, w,

@@ -1,4 +1,4 @@
-"""Stationarity checkers, branch multiplier synthesis, and the certifier.
+"""Stationarity checkers, the branch walk, the combiner and the certifier.
 
 The pipeline: classify the active structure, find a polar-membership
 point for every branch of the biactive set (one LP per branch that no
@@ -29,6 +29,7 @@ import numpy as np
 from .cones import (
     BranchAssignment,
     LinearizedCone,
+    _leaf_assignment,
     enumerate_branch_assignments,
     polar_branch_membership,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "StationarityVerdict",
     "check_stationarity_system",
     "classify_multiplier",
-    "synthesize_branch_multipliers",
     "schinabeck_combine",
     "certify_m_stationarity",
 ]
@@ -209,18 +209,6 @@ def classify_multiplier(data: FirstOrderData, sets: IndexSets, mult: MultiplierV
     if a_ok:
         return MultiplierClass.A
     return MultiplierClass.W_ONLY
-
-
-def synthesize_branch_multipliers(data: FirstOrderData, sets: IndexSets,
-                                  alpha: BranchAssignment,
-                                  tol: Tolerances = Tolerances()) -> Optional[MultiplierVector]:
-    """Multipliers for one branch, or None when -grad f leaves its polar.
-
-    A None result means the point cannot be a constraint-qualified local
-    minimizer: at such points every branch polar must contain -grad f.
-    """
-    cone = LinearizedCone(data, sets)
-    return polar_branch_membership(cone, alpha, -data.grad_f, tol.solver_tol)
 
 
 def _sign_columns(alphas: Sequence[BranchAssignment], bi: List[int], p: int) -> np.ndarray:
@@ -390,14 +378,6 @@ class BranchRecord:
     multiplier_norm: Optional[float]
 
 
-def _leaf_assignment(p: int, bi: Sequence[int], leaf: int) -> BranchAssignment:
-    """The assignment of leaf ``leaf``: bit ``len(bi) - 1 - t`` set means choice 2 at bi[t]."""
-    choices = [1] * p
-    for t, i in enumerate(bi):
-        choices[i] = 1 + ((leaf >> (len(bi) - 1 - t)) & 1)
-    return BranchAssignment(tuple(choices))
-
-
 def _box(mult: MultiplierVector, bi: Sequence[int]) -> Optional[Tuple[int, int]]:
     """The leaves whose sign region holds ``mult``, as (mask, value) on the leaf bits.
 
@@ -420,7 +400,8 @@ class BranchWalk:
 
     The leaves are the 2^|biactive| assignments in lexicographic order,
     numbered so that leaf j's choice at ``biactive[t]`` is 2 exactly when
-    bit ``len(biactive) - 1 - t`` of j is set.  ``points[k]`` is the polar
+    bit ``len(biactive) - 1 - t`` of j is set (the numbering
+    :func:`enumerate_branch_assignments` lists them in).  ``points[k]`` is the polar
     LP point of leaf ``leaves[k]``, in the order the LPs were solved, and
     ``boxes[k]`` the (mask, value) of the leaves whose sign region holds
     it (see :func:`_box`; None when it holds none).  ``failed`` is the
@@ -586,8 +567,11 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
     (see :meth:`ResidualReport.system_ok`) at ``cert_tol``, and an S
     witness has every biactive mu_i, nu_i >= 0.  The kind is
     S, M or BRANCH_INFEASIBLE; when the solvers cannot decide,
-    :class:`NumericalFailure` is raised instead.
+    :class:`NumericalFailure` is raised instead.  A negative
+    ``branch_cap`` raises ValueError before the point is classified.
     """
+    if branch_cap < 0:
+        raise ValueError(f"branch_cap must be nonnegative, got {branch_cap}")
     sets = classify_indices(data, tol)
     bi = sorted(sets.zero_zero)
     if len(bi) > branch_cap:

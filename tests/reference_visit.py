@@ -4,9 +4,11 @@
 visit walked coverage boxes: it builds all 2^|biactive| assignments,
 marks each branch's owner as LP points are found, and builds the branch
 table eagerly.  It solves its branch LPs through the same
-``mpcc_cert.stationarity.polar_branch_membership`` binding, so a test can
-record the LP sequence of both and compare them, along with the kind,
-``failed_branch``, the witness and the expanded table.
+``mpcc_cert.stationarity.polar_branch_membership`` binding, looked up at
+each call, so a test can record the LP sequence of both and compare
+them, along with the kind, ``failed_branch``, the witness and the
+expanded table.  When no branch point is an S-multiplier, the
+independent oracle ``oracle_s_exists`` decides whether one exists.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+import mpcc_cert.stationarity
 from mpcc_cert import (
     BranchAssignment,
     BranchBudgetExceeded,
@@ -30,9 +33,8 @@ from mpcc_cert import (
     check_stationarity_system,
     classify_indices,
     enumerate_branch_assignments,
-    polar_s_membership,
+    oracle_s_exists,
     schinabeck_combine,
-    synthesize_branch_multipliers,
 )
 from mpcc_cert.stationarity import _sign_columns
 
@@ -55,6 +57,7 @@ def reference_certify(data: FirstOrderData, tol: Tolerances = Tolerances(),
             f"biactive set has {len(bi)} indices, cap is {branch_cap}"
         )
 
+    cone = LinearizedCone(data, sets)
     alphas = enumerate_branch_assignments(data.p, bi)
     signed = _sign_columns(alphas, bi, data.p)
     owner = np.full(len(alphas), -1)  # index into `found` of each branch's point
@@ -64,7 +67,8 @@ def reference_certify(data: FirstOrderData, tol: Tolerances = Tolerances(),
     for j, alpha in enumerate(alphas):
         status = "covered"
         if owner[j] < 0:
-            mult = synthesize_branch_multipliers(data, sets, alpha, tol)
+            mult = mpcc_cert.stationarity.polar_branch_membership(cone, alpha, -data.grad_f,
+                                                                  tol.solver_tol)
             if mult is None:
                 table.append(BranchRecord(alpha, "infeasible", None))
                 table.extend(BranchRecord(a, "not-evaluated", None) for a in alphas[j + 1:])
@@ -85,8 +89,7 @@ def reference_certify(data: FirstOrderData, tol: Tolerances = Tolerances(),
         s_point = next((mult for mult in found
                         if (mult.mu[bi] >= 0.0).all() and (mult.nu[bi] >= 0.0).all()), None)
         if s_point is None:
-            s_point = polar_s_membership(LinearizedCone(data, sets), -data.grad_f,
-                                         tol.solver_tol)
+            s_point = oracle_s_exists(data, sets, tol)[1]
     if s_point is not None:
         kind, combine, witness = VerdictKind.S, None, s_point
     else:

@@ -17,15 +17,13 @@ from mpcc_cert import (
     evaluate_affine,
     lp_feasible,
     polar_branch_membership,
-    polar_s_membership,
     polar_separating_direction,
     tmpcclin_contains,
 )
 from mpcc_cert.instances import random_affine_instance
-from mpcc_cert.oracle import oracle_m_exists, oracle_s_exists
-from mpcc_cert.stationarity import check_stationarity_system
+from mpcc_cert.oracle import oracle_m_exists
 
-from conftest import bilinear_pair_data, m_not_s_instance
+from conftest import bilinear_pair_data
 
 
 @pytest.fixture
@@ -172,6 +170,14 @@ class TestPolarMembership:
         assert mult.mu[0] == pytest.approx(1.0, abs=1e-9)
         assert mult.nu[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_negative_mu_only_in_branch_two(self, pair_cone):
+        # w = (1, -1) needs mu = -1 and nu = 1: in branch 2's polar, not in
+        # branch 1's, whose mu >= 0 (so no S-multiplier either)
+        mult = polar_branch_membership(pair_cone, BranchAssignment((2,)), [1.0, -1.0])
+        assert mult.mu[0] == pytest.approx(-1.0, abs=1e-9)
+        assert mult.nu[0] == pytest.approx(1.0, abs=1e-9)
+        assert polar_branch_membership(pair_cone, BranchAssignment((1,)), [1.0, -1.0]) is None
+
     def test_zero_vector_always_representable(self, pair_cone):
         mult = polar_branch_membership(pair_cone, BranchAssignment((2,)), [0.0, 0.0])
         assert mult is not None
@@ -257,43 +263,6 @@ class TestPolarSoundnessCompleteness:
             assert d is not None
             assert w @ d > 1e-9
             assert branch_cone_contains(cone, alpha, d, 1e-7)
-
-
-class TestPolarSMembership:
-    def test_pair_multipliers(self, pair_cone):
-        mult = polar_s_membership(pair_cone, [-1.0, -1.0])
-        assert mult.mu[0] == pytest.approx(1.0, abs=1e-9)
-        assert mult.nu[0] == pytest.approx(1.0, abs=1e-9)
-        # w = (1, -1) needs mu = -1 and nu = 1: in branch 2's polar, not S
-        assert polar_s_membership(pair_cone, [1.0, -1.0]) is None
-        assert polar_branch_membership(pair_cone, BranchAssignment((2,)), [1.0, -1.0])
-
-    def test_m_but_not_s(self):
-        data = evaluate_affine(m_not_s_instance(), np.zeros(3))
-        cone = LinearizedCone(data, classify_indices(data))
-        for alpha in enumerate_branch_assignments(1, [0]):
-            assert polar_branch_membership(cone, alpha, -data.grad_f) is not None
-        assert polar_s_membership(cone, -data.grad_f) is None
-
-    def test_w_length_mismatch(self, pair_cone):
-        with pytest.raises(DimensionMismatch, match="w: expected length 2"):
-            polar_s_membership(pair_cone, [1.0])
-
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.sampled_from(["seeded", "random"]))
-    @settings(max_examples=60, deadline=None)
-    def test_agrees_with_oracle(self, seed, p, objective):
-        rng = np.random.default_rng(seed)
-        inst = random_affine_instance(rng, n=int(rng.integers(2, 7)), l=int(rng.integers(0, 4)),
-                                      m=int(rng.integers(0, 3)), p=p, objective=objective,
-                                      min_biactive=int(rng.integers(1, p + 1)))
-        data = evaluate_affine(inst, np.zeros(inst.n))
-        sets = classify_indices(data)
-        mult = polar_s_membership(LinearizedCone(data, sets), -data.grad_f)
-        assert (mult is not None) == oracle_s_exists(data, sets)[0]
-        if mult is not None:
-            bi = sorted(sets.zero_zero)
-            assert (mult.mu[bi] >= 0.0).all() and (mult.nu[bi] >= 0.0).all()
-            assert check_stationarity_system(data, sets, mult).system_ok(1e-7)
 
 
 class TestKktReduction:

@@ -15,6 +15,7 @@ from mpcc_cert import (
     DimensionMismatch,
     FirstOrderData,
     InfeasiblePoint,
+    LinearizedCone,
     MinNormProblem,
     MultiplierClass,
     MultiplierVector,
@@ -28,8 +29,8 @@ from mpcc_cert import (
     enumerate_branch_assignments,
     evaluate_affine,
     min_norm_point,
+    polar_branch_membership,
     schinabeck_combine,
-    synthesize_branch_multipliers,
 )
 from mpcc_cert.instances import random_affine_instance, random_branch_points
 from mpcc_cert.oracle import oracle_m_exists, oracle_s_exists
@@ -100,7 +101,8 @@ def count_lp_solves(monkeypatch):
 def own_branch_points(data):
     """Every branch's own polar LP point, paired with its assignment."""
     sets = classify_indices(data)
-    return [(synthesize_branch_multipliers(data, sets, alpha), alpha)
+    cone = LinearizedCone(data, sets)
+    return [(polar_branch_membership(cone, alpha, -data.grad_f), alpha)
             for alpha in enumerate_branch_assignments(data.p, sets.zero_zero)]
 
 
@@ -174,24 +176,24 @@ class TestClassifyMultiplier:
 class TestSynthesize:
     def test_both_branches_unique_solution(self):
         data = bilinear_pair_data([1.0, 1.0])
-        sets = pair_sets(data)
+        cone = LinearizedCone(data, pair_sets(data))
         for choice in (1, 2):
-            mult = synthesize_branch_multipliers(data, sets, BranchAssignment((choice,)))
+            mult = polar_branch_membership(cone, BranchAssignment((choice,)), -data.grad_f)
             assert mult.mu[0] == pytest.approx(1.0, abs=1e-9)
             assert mult.nu[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_gradient_gives_zero_multipliers(self):
         data = bilinear_pair_data([0.0, 0.0])
-        sets = pair_sets(data)
+        cone = LinearizedCone(data, pair_sets(data))
         for choice in (1, 2):
-            mult = synthesize_branch_multipliers(data, sets, BranchAssignment((choice,)))
+            mult = polar_branch_membership(cone, BranchAssignment((choice,)), -data.grad_f)
             assert np.abs(mult.mu).max() <= 1e-9 and np.abs(mult.nu).max() <= 1e-9
 
     def test_descent_objective_kills_branch_one(self):
         data = bilinear_pair_data([-1.0, 0.0])
-        sets = pair_sets(data)
-        assert synthesize_branch_multipliers(data, sets, BranchAssignment((1,))) is None
-        mult = synthesize_branch_multipliers(data, sets, BranchAssignment((2,)))
+        cone = LinearizedCone(data, pair_sets(data))
+        assert polar_branch_membership(cone, BranchAssignment((1,)), -data.grad_f) is None
+        mult = polar_branch_membership(cone, BranchAssignment((2,)), -data.grad_f)
         assert mult.mu[0] == pytest.approx(-1.0, abs=1e-9)
         assert mult.nu[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -424,11 +426,10 @@ class TestConvexityOfBaseSystem:
         inst = random_affine_instance(rng, n=4, l=2, m=1, p=2, objective="seeded")
         data = evaluate_affine(inst, np.zeros(4))
         sets = classify_indices(data)
-        from mpcc_cert import enumerate_branch_assignments
-
+        cone = LinearizedCone(data, sets)
         mults = []
         for alpha in enumerate_branch_assignments(2, sets.zero_zero):
-            mult = synthesize_branch_multipliers(data, sets, alpha)
+            mult = polar_branch_membership(cone, alpha, -data.grad_f)
             assert mult is not None  # seeded objective guarantees every branch
             rep = check_stationarity_system(data, sets, mult)
             assert rep.system_ok(1e-9)
@@ -517,6 +518,19 @@ class TestCertify:
         assert verdict.kind in (VerdictKind.M, VerdictKind.S)
         assert len(verdict.branch_table) == 16
 
+    @pytest.mark.parametrize("data", [FirstOrderData(n=1, l=0, m=0, p=0, grad_f=[0.0]),
+                                      bilinear_pair_data([1.0, 1.0])], ids=["p0", "p1"])
+    def test_negative_branch_cap_is_a_value_error(self, monkeypatch, data):
+        # a usage error, raised before the point is classified; not a
+        # biactive set that exceeds the cap
+        classified = count_calls(monkeypatch, mpcc_cert.stationarity, "classify_indices")
+        with pytest.raises(ValueError, match="branch_cap must be nonnegative, got -1"):
+            certify_m_stationarity(data, branch_cap=-1)
+        assert classified[0] == 0
+        # a cap of exactly the biactive count, 0 included, still certifies
+        verdict = certify_m_stationarity(data, branch_cap=data.p)
+        assert verdict.kind in (VerdictKind.M, VerdictKind.S)
+
     def test_branch_and_qp_counts(self, monkeypatch):
         lp_calls = count_lp_solves(monkeypatch)
         branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
@@ -542,9 +556,10 @@ class TestCertify:
                                       min_biactive=int(rng.integers(1, p + 1)))
         data = evaluate_affine(inst, np.zeros(inst.n))
         sets = classify_indices(data)
+        cone = LinearizedCone(data, sets)
         alphas = enumerate_branch_assignments(data.p, sets.zero_zero)
         failed = next((alpha for alpha in alphas
-                       if synthesize_branch_multipliers(data, sets, alpha) is None), None)
+                       if polar_branch_membership(cone, alpha, -data.grad_f) is None), None)
         verdict = certify_m_stationarity(data)
         if failed is None:
             assert verdict.kind in (VerdictKind.M, VerdictKind.S)
@@ -662,10 +677,9 @@ class TestBranchSignConditions:
         inst = random_affine_instance(rng, n=4, l=2, m=1, p=3, objective="seeded")
         data = evaluate_affine(inst, np.zeros(4))
         sets = classify_indices(data)
-        from mpcc_cert import enumerate_branch_assignments
-
+        cone = LinearizedCone(data, sets)
         for alpha in enumerate_branch_assignments(3, sets.zero_zero):
-            mult = synthesize_branch_multipliers(data, sets, alpha)
+            mult = polar_branch_membership(cone, alpha, -data.grad_f)
             assert mult is not None
             for i in sorted(sets.zero_zero):
                 if alpha.choices[i] == 1:
@@ -758,19 +772,27 @@ def swap_g_h(inst):
 
 
 def permute(inst, rng):
-    """The same problem with its variables, g rows and complementarity pairs reordered."""
+    """The same problem with its variables, g rows and complementarity pairs reordered.
+
+    Returns the problem and the pair order: its pair k is pair ``order[k]`` here.
+    """
     px, pg, pc = (rng.permutation(k) for k in (inst.n, inst.b_g.size, inst.b_G.size))
     return AffineInstance(c=inst.c[px], Q=inst.Q[np.ix_(px, px)],
                           A_g=inst.A_g[pg][:, px], b_g=inst.b_g[pg],
                           A_h=inst.A_h[:, px], b_h=inst.b_h,
                           A_G=inst.A_G[pc][:, px], b_G=inst.b_G[pc],
-                          A_H=inst.A_H[pc][:, px], b_H=inst.b_H[pc])
+                          A_H=inst.A_H[pc][:, px], b_H=inst.b_H[pc]), pc
+
+
+def certify_and_s_exists(inst):
+    data = evaluate_affine(inst, np.zeros(inst.n))
+    exists, _ = oracle_s_exists(data, classify_indices(data))
+    return certify_m_stationarity(data), exists
 
 
 def kind_and_s_exists(inst):
-    data = evaluate_affine(inst, np.zeros(inst.n))
-    exists, _ = oracle_s_exists(data, classify_indices(data))
-    return certify_m_stationarity(data).kind, exists
+    verdict, exists = certify_and_s_exists(inst)
+    return verdict.kind, exists
 
 
 class TestSKind:
@@ -796,8 +818,19 @@ class TestSKind:
                                       min_biactive=int(rng.integers(1, p + 1)))
         kind, exists = kind_and_s_exists(inst)
         assert (kind is VerdictKind.S) == exists
-        assert kind_and_s_exists(swap_g_h(inst)) == (kind, exists)
-        assert kind_and_s_exists(permute(inst, rng)) == (kind, exists)
+        data = evaluate_affine(inst, np.zeros(inst.n))
+        cone = LinearizedCone(data, classify_indices(data))
+        permuted, order = permute(inst, rng)
+        # each transformed problem's failed branch, mapped back to this one's pairs
+        for other, back in ((swap_g_h(inst), lambda choices: 3 - choices),
+                            (permuted, lambda choices: choices[np.argsort(order)])):
+            verdict, other_exists = certify_and_s_exists(other)
+            assert (verdict.kind, other_exists) == (kind, exists)
+            if verdict.failed_branch is not None:
+                # infeasible here too, but not necessarily this problem's
+                # failed branch: a 1 <-> 2 flip reverses the lexicographic order
+                alpha = BranchAssignment(back(np.array(verdict.failed_branch.choices)))
+                assert polar_branch_membership(cone, alpha, -data.grad_f) is None
 
     def test_s_verdict_skips_the_combiner(self, monkeypatch):
         # seeded-wide instance 0: the first branch LP finds an S-multiplier
@@ -846,7 +879,8 @@ class TestSKind:
         sets = classify_indices(data)
         bi = sorted(sets.zero_zero)
         assert bi == [0, 1, 2]
-        raw = synthesize_branch_multipliers(data, sets, BranchAssignment((1, 1, 1)))
+        raw = polar_branch_membership(LinearizedCone(data, sets), BranchAssignment((1, 1, 1)),
+                                      -data.grad_f)
         assert -1e-15 <= raw.nu[bi].min() < 0.0
         branch_lps = count_calls(monkeypatch, mpcc_cert.stationarity, "polar_branch_membership")
         verdict = certify_m_stationarity(data)
