@@ -234,9 +234,8 @@ def polar_branch_membership(cone: LinearizedCone, alpha: BranchAssignment, w,
     columns[minus] *= -1.0
     cost = np.zeros(columns.shape[0])
     cost[minus] = 1.0
-    lower = np.repeat(signed | split, 1 + split)
-    lp = LinearProgram(objective=cost, eq_matrix=columns.T, eq_rhs=w,
-                       bounds=[(0.0, None) if s else (None, None) for s in lower])
+    lower = np.where(np.repeat(signed | split, 1 + split), 0.0, -np.inf)
+    lp = LinearProgram(objective=cost, eq_matrix=columns.T, eq_rhs=w, lower=lower)
     out = lp_solve(lp, tol)
     if out.status is LpStatus.INFEASIBLE:
         return None

@@ -128,7 +128,7 @@ def random_feasible_point_data(rng: np.random.Generator, n: int, l: int, m: int,
 
 def random_feasible_bounded_lp(rng: np.random.Generator, d: int, n_cons: int,
                                box: float = 10.0):
-    """An LP guaranteed feasible (at a hidden point) and bounded (by a box)."""
+    """An LP feasible at a hidden point and bounded by a box: z >= -box, last d rows z <= box."""
     from .solvers import LinearProgram
 
     x0 = rng.uniform(-box / 2, box / 2, size=d)
@@ -137,7 +137,7 @@ def random_feasible_bounded_lp(rng: np.random.Generator, d: int, n_cons: int,
     c = rng.uniform(-5.0, 5.0, size=d)
     return LinearProgram(
         objective=c,
-        ineq_matrix=A,
-        ineq_rhs=b,
-        bounds=[(-box, box)] * d,
+        ineq_matrix=np.vstack([A, np.eye(d)]),
+        ineq_rhs=np.concatenate([b, np.full(d, box)]),
+        lower=np.full(d, -box),
     )

@@ -73,7 +73,7 @@ def _pattern_lp(data: FirstOrderData, sets: IndexSets, mu_on: np.ndarray,
     lows = np.concatenate([np.zeros(len(active_g)), np.full(data.m, -np.inf),
                            lower[mu_on], lower[nu_on]])
     lp = LinearProgram(objective=np.zeros(lows.size), eq_matrix=rows.T, eq_rhs=-data.grad_f,
-                       bounds=[(None if np.isinf(lo) else lo, None) for lo in lows])
+                       lower=lows)
     out = lp_solve(lp)
     if out.status is LpStatus.INFEASIBLE:
         return None
@@ -315,9 +315,7 @@ def oracle_tangent_sample(inst: AffineInstance, x_bar, directions: int = 1000,
     sets = classify_indices(data, tol)
     cone = LinearizedCone(data, sets)
 
-    base_rows = np.vstack([inst.A_h, inst.A_G[sorted(sets.zero_plus)],
-                           inst.A_H[sorted(sets.plus_zero)]])
-    base_basis = _nullspace(base_rows)
+    base_basis = _nullspace(cone.eq_rows)
 
     rng = np.random.default_rng(seed)
     biactive = sorted(sets.zero_zero)
@@ -334,7 +332,7 @@ def oracle_tangent_sample(inst: AffineInstance, x_bar, directions: int = 1000,
             # pin each biactive pair to a random side, so directions land in
             # the (often lower-dimensional) region where tangency can hold
             pins = [inst.A_H[i] if rng.random() < 0.5 else inst.A_G[i] for i in biactive]
-            basis = _nullspace(np.vstack([base_rows, *pins]))
+            basis = _nullspace(np.vstack([cone.eq_rows, *pins]))
             raw = basis @ (basis.T @ raw) if basis.size else np.zeros(inst.n)
         norm = np.linalg.norm(raw)
         if norm < 1e-12:

@@ -4,8 +4,10 @@ Two solvers live here:
 
 * :func:`lp_solve`: a two-phase tableau simplex with Bland's
   anti-cycling rule, the one LP entry point (branch polar LPs, oracle
-  pattern LPs and min-norm cold starts all go through it).  Both phases
-  run on one tableau under one pivot cap.  Problem sizes in this package
+  pattern LPs and min-norm cold starts all go through it).  An LP has
+  equality rows, ``<=`` rows and one lower bound per variable (``-inf``
+  for a free one); an upper bound is a ``<=`` row.  Both phases run on
+  one tableau under one pivot cap.  Problem sizes in this package
   are tiny (tens of variables), so a dense tableau is adequate and keeps
   every pivot auditable.
 * :func:`min_norm_point`: the squared-norm minimizer over a polytope
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .errors import DimensionMismatch, NumericalFailure
 from .model import DEFAULT_SOLVER_TOL
 
 PIVOT_TOL = 1e-10
-
-Bound = Tuple[Optional[float], Optional[float]]
 
 
 class LpStatus(enum.Enum):
@@ -75,10 +75,10 @@ def _vector(v, length: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min objective'z  s.t.  eq_matrix z = eq_rhs, ineq_matrix z <= ineq_rhs, bounds.
+    """min objective'z  s.t.  eq_matrix z = eq_rhs, ineq_matrix z <= ineq_rhs, z >= lower.
 
-    ``bounds`` is one (lower, upper) pair per variable with ``None`` for
-    an unbounded side; variables default to free.
+    ``lower`` holds one lower bound per variable, ``-inf`` for a free
+    one; variables default to free.  An upper bound is a ``<=`` row.
     """
 
     objective: np.ndarray
@@ -86,7 +86,7 @@ class LinearProgram:
     eq_rhs: Optional[np.ndarray] = None
     ineq_matrix: Optional[np.ndarray] = None
     ineq_rhs: Optional[np.ndarray] = None
-    bounds: Optional[Sequence[Bound]] = None
+    lower: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float).reshape(-1)
@@ -97,21 +97,20 @@ class LinearProgram:
         b_eq = _vector(self.eq_rhs, A_eq.shape[0], "eq_rhs")
         A_ub = _matrix(self.ineq_matrix, d, "ineq_matrix")
         b_ub = _vector(self.ineq_rhs, A_ub.shape[0], "ineq_rhs")
-        if self.bounds is None:
-            bounds = tuple((None, None) for _ in range(d))
+        if self.lower is None:
+            lower = np.full(d, -np.inf)
         else:
-            bounds = tuple((lo, hi) for lo, hi in self.bounds)
-            if len(bounds) != d:
-                raise DimensionMismatch(f"bounds: expected {d} pairs, got {len(bounds)}")
-            if not np.isfinite([side for pair in bounds for side in pair
-                                if side is not None]).all():
-                raise ValueError("bounds entries must be finite or None")
+            lower = np.asarray(self.lower, dtype=float).reshape(-1)
+            if lower.size != d:
+                raise DimensionMismatch(f"lower: expected length {d}, got {lower.size}")
+            if not np.all(lower < np.inf):  # also false for NaN
+                raise ValueError("lower: entries must be finite or -inf")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", A_eq)
         object.__setattr__(self, "eq_rhs", b_eq)
         object.__setattr__(self, "ineq_matrix", A_ub)
         object.__setattr__(self, "ineq_rhs", b_ub)
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n_vars(self) -> int:
@@ -155,50 +154,32 @@ def _simplex(T: np.ndarray, basis: np.ndarray, tol: float, budget: list) -> str:
 def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
     """Solve a dense LP by the two-phase simplex method with Bland's rule.
 
-    Free variables are split, bounded variables shifted, so the working
-    problem is in standard form.  Phase 1 minimizes the sum of the
-    artificials, then phase 2 the objective on the same tableau.  The two
-    phases share a cap of 50 * (#columns + #rows) pivots; exceeding it
-    raises :class:`NumericalFailure`, which is distinct from infeasibility.
+    A free variable is split into an adjacent (+, -) column pair and any
+    other variable is shifted by its lower bound, so the working problem
+    is in standard form.  Phase 1 minimizes the sum of the artificials,
+    then phase 2 the objective on the same tableau.  A phase-1 optimum
+    within ``tol * (1 + max|b|)`` of zero means feasible, even when a
+    roundoff reduced cost ends phase 1 as "unbounded".  The two phases
+    share a cap of 50 * (#columns + #rows) pivots; exceeding it raises
+    :class:`NumericalFailure`, which is distinct from infeasibility.
     """
-    for lo, hi in lp.bounds:
-        if lo is not None and hi is not None and lo > hi + tol:
-            return LpOutcome(LpStatus.INFEASIBLE)
-
     # Map each original variable onto shifted nonnegative columns.
-    col_var, col_sign, cap_cols, caps = [], [], [], []
-    offset = np.zeros(lp.n_vars)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is None and hi is None:
-            col_var += [j, j]
-            col_sign += [1.0, -1.0]
-        elif lo is not None:
-            offset[j] = lo
-            col_var.append(j)
-            col_sign.append(1.0)
-            if hi is not None:  # the residual upper bound becomes a <= row
-                cap_cols.append(len(col_var) - 1)
-                caps.append(hi - lo)
-        else:
-            offset[j] = hi
-            col_var.append(j)
-            col_sign.append(-1.0)
-    col_var = np.asarray(col_var, dtype=int)
-    col_sign = np.asarray(col_sign, dtype=float)
+    free = np.isneginf(lp.lower)
+    col_var = np.repeat(np.arange(lp.n_vars), 1 + free)
+    col_sign = np.ones(col_var.size)
+    col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0  # the second column of a pair
+    offset = np.where(free, 0.0, lp.lower)
     ns = col_var.size
 
-    # Rows: the equalities, then the <= rows and the caps, each with a slack.
+    # Rows: the equalities, then the <= rows, each with a slack.
     m_eq = lp.eq_matrix.shape[0]
-    m_ub = m_eq + lp.ineq_matrix.shape[0]
-    m = m_ub + len(caps)
+    m = m_eq + lp.ineq_matrix.shape[0]
     A = np.zeros((m, ns))
     b = np.zeros(m)
     A[:m_eq] = lp.eq_matrix[:, col_var] * col_sign
     b[:m_eq] = lp.eq_rhs - lp.eq_matrix @ offset
-    A[m_eq:m_ub] = lp.ineq_matrix[:, col_var] * col_sign
-    b[m_eq:m_ub] = lp.ineq_rhs - lp.ineq_matrix @ offset
-    A[np.arange(m_ub, m), np.asarray(cap_cols, dtype=int)] = 1.0
-    b[m_ub:] = caps
+    A[m_eq:] = lp.ineq_matrix[:, col_var] * col_sign
+    b[m_eq:] = lp.ineq_rhs - lp.ineq_matrix @ offset
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
@@ -220,10 +201,13 @@ def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
     # Phase 1: minimize the sum of artificials.
     T[-1, art_start:ncols] = 1.0
     T[-1] -= T[art_rows].sum(axis=0)
-    if _simplex(T, basis, tol, budget) != "optimal":
-        raise NumericalFailure("phase 1 reported an unbounded auxiliary problem")
-    # the phase-1 residual carries roundoff of the right-hand side's size
+    unbounded = _simplex(T, basis, tol, budget) != "optimal"
+    # The phase-1 residual carries roundoff of the right-hand side's size.
+    # Phase 1 is bounded below by 0, so "unbounded" at a zero residual is
+    # a roundoff reduced cost, and the point is feasible.
     if -T[-1, -1] > tol * (1.0 + np.abs(b).max(initial=0.0)):
+        if unbounded:
+            raise NumericalFailure("phase 1 reported an unbounded auxiliary problem")
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
@@ -271,20 +255,22 @@ def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
 
 
 def lp_feasible(eq_matrix=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None,
-                bounds=None, n_vars: Optional[int] = None,
+                lower=None, n_vars: Optional[int] = None,
                 tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
     """Zero-objective wrapper around lp_solve; Optimal means a feasible point.
 
-    When every block is absent the dimension must be given via ``n_vars``;
-    the returned canonical point is then the zero vector.
+    ``lower`` is as in :class:`LinearProgram`: one lower bound per
+    variable, all free when omitted.  When every block is absent the
+    dimension must be given via ``n_vars``; the returned canonical point
+    is then the zero vector.
     """
     if n_vars is None:
         if eq_matrix is not None and np.asarray(eq_matrix).size:
             n_vars = np.atleast_2d(np.asarray(eq_matrix)).shape[1]
         elif ineq_matrix is not None and np.asarray(ineq_matrix).size:
             n_vars = np.atleast_2d(np.asarray(ineq_matrix)).shape[1]
-        elif bounds is not None:
-            n_vars = len(bounds)
+        elif lower is not None:
+            n_vars = np.size(lower)
         else:
             raise DimensionMismatch("n_vars required when the system is empty")
     lp = LinearProgram(
@@ -293,7 +279,7 @@ def lp_feasible(eq_matrix=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None,
         eq_rhs=eq_rhs,
         ineq_matrix=ineq_matrix,
         ineq_rhs=ineq_rhs,
-        bounds=bounds,
+        lower=lower,
     )
     return lp_solve(lp, tol)
 
@@ -384,7 +370,7 @@ def min_norm_point(prob: MinNormProblem,
             eq_rhs=[1.0],
             ineq_matrix=-U[:, signed].T,
             ineq_rhs=np.zeros(signed.sum()),
-            bounds=[(0.0, None)] * k,
+            lower=np.zeros(k),
             tol=tol,
         )
         if out.status is LpStatus.INFEASIBLE:

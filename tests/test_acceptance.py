@@ -159,9 +159,10 @@ def test_acceptance_4_polar_soundness_completeness():
             out = lp_solve(LinearProgram(
                 objective=-w,
                 eq_matrix=eq_rows, eq_rhs=np.zeros(eq_rows.shape[0]),
-                ineq_matrix=np.vstack([leq_rows, -geq_rows]),
-                ineq_rhs=np.zeros(leq_rows.shape[0] + geq_rows.shape[0]),
-                bounds=[(-1.0, 1.0)] * n,
+                ineq_matrix=np.vstack([leq_rows, -geq_rows, np.eye(n)]),
+                ineq_rhs=np.concatenate([np.zeros(leq_rows.shape[0] + geq_rows.shape[0]),
+                                         np.ones(n)]),
+                lower=np.full(n, -1.0),
             ))
             assert out.status is LpStatus.OPTIMAL
             assert w @ out.solution <= 1e-9

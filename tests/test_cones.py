@@ -236,9 +236,10 @@ def _sample_cone_direction(cone, alpha, rng):
     lp = LinearProgram(
         objective=rng.standard_normal(n),
         eq_matrix=eq_rows, eq_rhs=np.zeros(eq_rows.shape[0]),
-        ineq_matrix=np.vstack([leq_rows, -geq_rows]),
-        ineq_rhs=np.zeros(leq_rows.shape[0] + geq_rows.shape[0]),
-        bounds=[(-1.0, 1.0)] * n,
+        # the box -1 <= d <= 1, its upper sides as the last n rows
+        ineq_matrix=np.vstack([leq_rows, -geq_rows, np.eye(n)]),
+        ineq_rhs=np.concatenate([np.zeros(leq_rows.shape[0] + geq_rows.shape[0]), np.ones(n)]),
+        lower=np.full(n, -1.0),
     )
     out = lp_solve(lp)
     assert out.status is LpStatus.OPTIMAL

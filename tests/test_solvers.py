@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcc_cert import (
+    DimensionMismatch,
     LinearProgram,
     LpStatus,
     MinNormProblem,
@@ -20,21 +23,28 @@ from mpcc_cert.solvers import _simplex
 
 from lp_reference import best_vertex_exact, solve_lp_exact
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _reference_bounds(lower):
+    """lp_reference's (lo, hi) pairs for lower bounds only."""
+    return [(None if np.isneginf(lo) else lo, None) for lo in lower]
+
 
 class TestLpSolve:
     def test_simple_lower_bound(self):
-        out = lp_solve(LinearProgram(objective=[1.0], bounds=[(2.0, None)]))
+        out = lp_solve(LinearProgram(objective=[1.0], lower=[2.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.solution[0] == pytest.approx(2.0, abs=1e-9)
         assert out.objective_value == pytest.approx(2.0, abs=1e-9)
 
     def test_contradictory_constraints(self):
         out = lp_solve(LinearProgram(objective=[0.0], ineq_matrix=[[1.0]],
-                                     ineq_rhs=[-1.0], bounds=[(0.0, None)]))
+                                     ineq_rhs=[-1.0], lower=[0.0]))
         assert out.status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
-        out = lp_solve(LinearProgram(objective=[-1.0], bounds=[(0.0, None)]))
+        out = lp_solve(LinearProgram(objective=[-1.0], lower=[0.0]))
         assert out.status is LpStatus.UNBOUNDED
 
     def test_free_variables_and_equalities(self):
@@ -81,7 +91,7 @@ class TestLpSolve:
             objective=[1.0, 0.0],
             eq_matrix=[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
             eq_rhs=[2.0, 2.0, 4.0],
-            bounds=[(0.0, None), (0.0, None)]))
+            lower=[0.0, 0.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.objective_value == pytest.approx(0.0, abs=1e-9)
 
@@ -93,15 +103,36 @@ class TestLpSolve:
         assert out.status is LpStatus.INFEASIBLE
 
     def test_fixed_variable_bounds(self):
+        # 3 <= x0 <= 3 and -1 <= x1 <= 5, the upper sides as <= rows
         out = lp_solve(LinearProgram(
             objective=[1.0, 1.0],
-            bounds=[(3.0, 3.0), (-1.0, 5.0)]))
+            ineq_matrix=np.eye(2), ineq_rhs=[3.0, 5.0],
+            lower=[3.0, -1.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.solution == pytest.approx([3.0, -1.0], abs=1e-9)
 
-    def test_crossed_bounds_infeasible(self):
-        out = lp_solve(LinearProgram(objective=[1.0], bounds=[(2.0, 1.0)]))
-        assert out.status is LpStatus.INFEASIBLE
+    def test_lower_bounds_validated(self):
+        assert np.isneginf(LinearProgram(objective=[1.0, 2.0]).lower).all()
+        for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="lower"):
+                LinearProgram(objective=[1.0, 2.0], lower=bad)
+        with pytest.raises(DimensionMismatch, match="lower"):
+            LinearProgram(objective=[1.0, 2.0], lower=[0.0])
+
+    def test_phase_one_roundoff_unbounded_is_feasible(self):
+        # An oracle pattern LP of the wide pool, frozen bit for bit: phase 1
+        # reaches an objective of about -8e-11 (zero), but one reduced cost
+        # of about -1.3e-9 has no positive entry in its column, so the
+        # simplex reports "unbounded".  Phase 1 is bounded below by 0, so
+        # this is roundoff and the LP is feasible.
+        doc = json.loads((DATA / "phase1_roundoff_lp.json").read_text())
+        lower = np.array([-np.inf if v is None else v for v in doc["lower"]])
+        lp = LinearProgram(objective=doc["objective"], eq_matrix=doc["eq_matrix"],
+                           eq_rhs=doc["eq_rhs"], lower=lower)
+        out = lp_solve(lp)
+        assert out.status is LpStatus.OPTIMAL
+        assert np.abs(lp.eq_matrix @ out.solution - lp.eq_rhs).max() <= 1e-6
+        assert (out.solution >= lower).all()
 
     def test_negative_rhs_equality_flip(self):
         out = lp_solve(LinearProgram(
@@ -111,6 +142,34 @@ class TestLpSolve:
         assert out.solution[0] == pytest.approx(-3.0, abs=1e-9)
 
     @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_free_variable_is_an_explicit_column_pair(self, seed):
+        # polar_branch_membership writes some free multipliers as a [a, -a]
+        # column pair bounded below by 0 and relies on lp_solve making that
+        # very split for lower = -inf: same tableau, same pivots, same bytes
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        me = int(rng.integers(1, d + 2))
+        A = rng.uniform(-5.0, 5.0, (me, d))
+        # mostly feasible systems, so that most draws compare solutions
+        b = A @ rng.uniform(0.0, 3.0, d) if rng.random() < 0.7 else rng.uniform(-5.0, 5.0, me)
+        c = rng.uniform(-1.0, 1.0, d) * (rng.random() < 0.5)
+        free = rng.random(d) < 0.5
+        out = lp_solve(LinearProgram(objective=c, eq_matrix=A, eq_rhs=b,
+                                     lower=np.where(free, -np.inf, 0.0)))
+        col_var = np.repeat(np.arange(d), 1 + free)
+        minus = np.nonzero(np.diff(col_var) == 0)[0] + 1
+        sign = np.ones(col_var.size)
+        sign[minus] = -1.0
+        split = lp_solve(LinearProgram(objective=c[col_var] * sign, eq_matrix=A[:, col_var] * sign,
+                                       eq_rhs=b, lower=np.zeros(col_var.size)))
+        assert split.status is out.status
+        if out.status is LpStatus.OPTIMAL:
+            z = np.delete(split.solution, minus)
+            z[free] -= split.solution[minus]
+            assert z.tobytes() == out.solution.tobytes()
+
+    @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_against_exact_simplex(self, seed):
         rng = np.random.default_rng(seed)
@@ -118,13 +177,14 @@ class TestLpSolve:
         lp = random_feasible_bounded_lp(rng, d=d, n_cons=10)
         out = lp_solve(lp)
         status, _, obj = solve_lp_exact(
-            lp.objective, lp.eq_matrix, lp.eq_rhs, lp.ineq_matrix, lp.ineq_rhs, lp.bounds)
+            lp.objective, lp.eq_matrix, lp.eq_rhs, lp.ineq_matrix, lp.ineq_rhs,
+            _reference_bounds(lp.lower))
         assert status == "optimal"
         assert out.status is LpStatus.OPTIMAL
         x = out.solution
+        # the box's upper sides are the last d <= rows
         assert (lp.ineq_matrix @ x - lp.ineq_rhs).max() <= 1e-9
-        for j, (lo, hi) in enumerate(lp.bounds):
-            assert x[j] >= lo - 1e-9 and x[j] <= hi + 1e-9
+        assert (x >= lp.lower - 1e-9).all()
         assert out.objective_value == pytest.approx(float(obj), abs=1e-7)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -135,7 +195,8 @@ class TestLpSolve:
         lp = random_feasible_bounded_lp(rng, d=d, n_cons=4)
         out = lp_solve(lp)
         best = best_vertex_exact(
-            lp.objective, lp.eq_matrix, lp.eq_rhs, lp.ineq_matrix, lp.ineq_rhs, lp.bounds)
+            lp.objective, lp.eq_matrix, lp.eq_rhs, lp.ineq_matrix, lp.ineq_rhs,
+            _reference_bounds(lp.lower))
         assert out.status is LpStatus.OPTIMAL
         assert best is not None
         assert out.objective_value == pytest.approx(float(best), abs=1e-7)
@@ -143,8 +204,7 @@ class TestLpSolve:
 
 class TestLpFeasible:
     def test_simple_system(self):
-        out = lp_feasible(eq_matrix=[[1.0, 1.0]], eq_rhs=[2.0],
-                          bounds=[(0.0, None), (0.0, None)])
+        out = lp_feasible(eq_matrix=[[1.0, 1.0]], eq_rhs=[2.0], lower=[0.0, 0.0])
         assert out.status is LpStatus.OPTIMAL
         y = out.solution
         assert y.sum() == pytest.approx(2.0, abs=1e-9)
@@ -171,7 +231,7 @@ class TestFarkasAlternative:
             b = A @ rng.uniform(0, 3, k)
         else:
             b = rng.uniform(-5, 5, n)
-        primal = lp_feasible(eq_matrix=A, eq_rhs=b, bounds=[(0.0, None)] * k)
+        primal = lp_feasible(eq_matrix=A, eq_rhs=b, lower=np.zeros(k))
         primal_ok = primal.status is LpStatus.OPTIMAL
         # alternative: exists d with A'd <= 0 and b'd > 0
         alt = lp_solve(LinearProgram(
@@ -277,9 +337,10 @@ class TestMinNormPoint:
         columns = [np.ones(k)]
         columns += [np.eye(k)[i] for i in range(k) if w[i] <= 1e-8]
         columns += [S[j] for j in range(S.shape[0]) if S[j] @ w <= 1e-8]
-        bounds = [(None, None)] + [(0.0, None)] * (len(columns) - 1)
+        lower = np.zeros(len(columns))
+        lower[0] = -np.inf
         out = lp_feasible(eq_matrix=np.column_stack(columns), eq_rhs=grad,
-                          bounds=bounds, tol=1e-7)
+                          lower=lower, tol=1e-7)
         assert out.status is LpStatus.OPTIMAL
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -294,8 +355,10 @@ class TestMinNormPoint:
         c = rng.uniform(-4, 4, d)
         bounds = [(0.0, 10.0) if rng.random() < 0.7 else (None, 10.0)
                   for _ in range(d)]
-        bounds = [(lo, hi) for (lo, hi) in bounds]
-        lp = LinearProgram(objective=c, eq_matrix=A_eq, eq_rhs=b_eq, bounds=bounds)
+        # the upper sides x <= 10 are <= rows; the reference takes the pairs
+        lp = LinearProgram(objective=c, eq_matrix=A_eq, eq_rhs=b_eq,
+                           ineq_matrix=np.eye(d), ineq_rhs=np.full(d, 10.0),
+                           lower=[-np.inf if lo is None else lo for lo, _ in bounds])
         out = lp_solve(lp)
         status, _, obj = solve_lp_exact(c, A_eq, b_eq, None, None, bounds)
         # x0 is feasible by construction, so infeasibility can never be right;
