@@ -4,7 +4,7 @@
     python scripts/lp_digest.py
 
 Wraps ``lp_solve`` where the package calls it (``mpcc_cert.cones``,
-``mpcc_cert.oracle`` and ``mpcc_cert.solvers``) and runs four fixed
+``mpcc_cert.oracle`` and ``mpcc_cert.solvers``) and runs five fixed
 pools:
 
 * seeded-wide: ``certify_m_stationarity`` on ``default_rng([6, i])``,
@@ -15,7 +15,13 @@ pools:
   with n in [p, 2p+2), l in [0, 2p), m in [0, 2) and random objectives;
 * cli-small: ``certify_m_stationarity`` plus ``oracle_m_exists`` on the
   2000 problem draws ``default_rng([2002, i])`` of certbench's cli-small
-  workload, evaluated in-process.
+  workload, evaluated in-process;
+* row-scaled: ``certify_m_stationarity`` on the cli-small draws and then
+  the wide draws, numbered k = 0..4099 in that order, with every
+  constraint row of input k (its gradient and its value) multiplied by a
+  factor drawn log-uniform in [1e-3, 1e3] from ``default_rng([5, k])``,
+  one per g row, then h, G and H rows.  The MPCC does not change, so a
+  raise here is a numerical defect.
 
 For each pool it prints the number of LPs and a SHA-256 over every LP's
 status, solution bytes and objective, in call order, plus the number of
@@ -24,6 +30,7 @@ lines solved the same LPs and got the same answers, bit for bit.
 """
 
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -35,6 +42,7 @@ import mpcc_cert.cones
 import mpcc_cert.oracle
 import mpcc_cert.solvers
 from mpcc_cert import (
+    AffineInstance,
     MpccError,
     Tolerances,
     certify_m_stationarity,
@@ -96,6 +104,17 @@ def cli_small_draws():
                                      objective="seeded" if i % 10 < 7 else "random")
 
 
+def row_scaled_draws(lo=1e-3, hi=1e3):
+    for k, inst in enumerate(itertools.chain(cli_small_draws(), wide_draws())):
+        factors = np.exp(np.random.default_rng([5, k]).uniform(
+            np.log(lo), np.log(hi), inst.l + inst.m + 2 * inst.p))
+        blocks = dict(zip("ghGH", np.split(factors, np.cumsum([inst.l, inst.m, inst.p]))))
+        yield AffineInstance(
+            c=inst.c, Q=inst.Q,
+            **{f"A_{b}": getattr(inst, f"A_{b}") * f[:, None] for b, f in blocks.items()},
+            **{f"b_{b}": getattr(inst, f"b_{b}") * f for b, f in blocks.items()})
+
+
 def certify(inst):
     certify_m_stationarity(evaluate_affine(inst, np.zeros(inst.n)))
 
@@ -112,6 +131,7 @@ POOLS = (
     ("random-wide", lambda: affine_draws(7, 40, 7, "random"), certify),
     ("wide", wide_draws, certify),
     ("cli-small", cli_small_draws, certify_and_oracle),
+    ("row-scaled", row_scaled_draws, certify),
 )
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
-from .model import DEFAULT_SOLVER_TOL, FirstOrderData, IndexSets, MultiplierVector
+from .model import DEFAULT_SOLVER_TOL, FirstOrderData, IndexSets, MultiplierVector, _frozen
 from .solvers import LinearProgram, LpStatus, _nullspace, lp_solve
 
 
@@ -115,10 +115,7 @@ class LinearizedCone:
 
 
 def _check_direction(cone: LinearizedCone, d, name: str = "direction") -> np.ndarray:
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.size != cone.data.n:
-        raise DimensionMismatch(f"{name}: expected length {cone.data.n}, got {d.size}")
-    return d
+    return _frozen(d, (cone.data.n,), name)
 
 
 def _check_alpha(cone: LinearizedCone, alpha: BranchAssignment) -> None:

@@ -2,9 +2,10 @@
 
 The primary input is :class:`FirstOrderData`, the values and gradients of
 all problem functions at one fixed point.  :class:`AffineInstance` is a
-convenience layer producing that data from matrices.  All types are
-immutable after construction (stored arrays are frozen), and every
-operation here is a pure function, so concurrent use needs no locking.
+convenience layer producing that data from matrices.  Every array the
+package accepts goes through one check, :func:`_frozen`, and is stored as
+a read-only float copy, so all types are immutable after construction;
+every operation here is a pure function, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -23,27 +24,33 @@ DEFAULT_SOLVER_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-7
 
 
-def _freeze_vector(value, length: int, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float).reshape(-1) if value is not None else np.zeros(length)
-    if arr.size != length:
-        raise DimensionMismatch(f"{name}: expected length {length}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    arr.flags.writeable = False
-    return arr
+def _frozen(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float copy of ``value``, or zeros of ``shape`` when it is None.
 
-
-def _freeze_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
+    ``shape`` is ``(length,)`` or ``(rows, cols)``, and a None entry
+    accepts any size.  A vector is flattened and a matrix made 2-D; an
+    empty matrix has 0 rows unless it has 0 columns.  Raises
+    :class:`DimensionMismatch` on any other shape and ValueError on a
+    non-finite entry.
+    """
     if value is None:
-        arr = np.zeros((rows, cols))
+        arr = np.zeros([0 if s is None else s for s in shape])
     else:
         arr = np.array(value, dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(rows if rows == 0 else -1, cols)
-        arr = np.atleast_2d(arr)
-    if arr.shape != (rows, cols):
-        raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        if len(shape) == 1:
+            arr = arr.reshape(-1)
+        elif arr.size:
+            arr = np.atleast_2d(arr)
+        else:
+            cols = shape[1] or 0
+            arr = arr.reshape(arr.shape[0] if arr.ndim == 2 and cols == 0 else 0, cols)
+    if len(shape) == 1:
+        if shape[0] is not None and arr.size != shape[0]:
+            raise DimensionMismatch(f"{name}: expected length {shape[0]}, got {arr.size}")
+    elif (arr.ndim != 2 or shape[0] not in (None, arr.shape[0])
+          or shape[1] not in (None, arr.shape[1])):
+        raise DimensionMismatch(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -100,15 +107,10 @@ class FirstOrderData:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         n, l, m, p = self.n, self.l, self.m, self.p
-        object.__setattr__(self, "grad_f", _freeze_vector(self.grad_f, n, "grad_f"))
-        object.__setattr__(self, "g_vals", _freeze_vector(self.g_vals, l, "g_vals"))
-        object.__setattr__(self, "grad_g", _freeze_matrix(self.grad_g, l, n, "grad_g"))
-        object.__setattr__(self, "h_vals", _freeze_vector(self.h_vals, m, "h_vals"))
-        object.__setattr__(self, "grad_h", _freeze_matrix(self.grad_h, m, n, "grad_h"))
-        object.__setattr__(self, "G_vals", _freeze_vector(self.G_vals, p, "G_vals"))
-        object.__setattr__(self, "grad_G", _freeze_matrix(self.grad_G, p, n, "grad_G"))
-        object.__setattr__(self, "H_vals", _freeze_vector(self.H_vals, p, "H_vals"))
-        object.__setattr__(self, "grad_H", _freeze_matrix(self.grad_H, p, n, "grad_H"))
+        for name, shape in (("grad_f", (n,)), ("g_vals", (l,)), ("grad_g", (l, n)),
+                            ("h_vals", (m,)), ("grad_h", (m, n)), ("G_vals", (p,)),
+                            ("grad_G", (p, n)), ("H_vals", (p,)), ("grad_H", (p, n))):
+            object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +134,13 @@ class AffineInstance:
     b_H: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float).reshape(-1)
+        c = _frozen(self.c, (None,), "c")
         n = c.size
         if n == 0:
             raise DimensionMismatch("c must have at least one entry")
-        c.flags.writeable = False
         object.__setattr__(self, "c", c)
 
-        Q = _freeze_matrix(self.Q, n, n, "Q")
+        Q = _frozen(self.Q, (n, n), "Q")
         if np.abs(Q - Q.T).max(initial=0.0) > 1e-12:
             raise ValueError("Q must be symmetric within 1e-12")
         object.__setattr__(self, "Q", Q)
@@ -148,9 +149,9 @@ class AffineInstance:
             mv, rv = getattr(self, mat), getattr(self, rhs)
             if (mv is None) != (rv is None):
                 raise DimensionMismatch(f"{mat} and {rhs} must be given together")
-            rows = 0 if rv is None else np.asarray(rv, dtype=float).reshape(-1).size
-            object.__setattr__(self, rhs, _freeze_vector(rv, rows, rhs))
-            object.__setattr__(self, mat, _freeze_matrix(mv, rows, n, mat))
+            b = _frozen(rv, (None,), rhs)
+            object.__setattr__(self, rhs, b)
+            object.__setattr__(self, mat, _frozen(mv, (b.size, n), mat))
         if self.b_G.size != self.b_H.size:
             raise DimensionMismatch("the G and H blocks must pair up one-to-one")
 
@@ -209,11 +210,7 @@ class MultiplierVector:
 
     def __post_init__(self):
         for name in ("lam", "eta", "mu", "nu"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(-1)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name}: entries must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), (None,), name))
         if self.mu.size != self.nu.size:
             raise DimensionMismatch("mu and nu must have equal length")
 
@@ -318,9 +315,7 @@ def classify_indices(data: FirstOrderData, tol: Tolerances = Tolerances(),
 
 def evaluate_affine(inst: AffineInstance, x) -> FirstOrderData:
     """Evaluate an affine instance at x, producing point-local data."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != inst.n:
-        raise DimensionMismatch(f"x: expected length {inst.n}, got {x.size}")
+    x = _frozen(x, (inst.n,), "x")
     return FirstOrderData(
         n=inst.n,
         l=inst.l,

@@ -2,9 +2,12 @@
 
 Two problem modes exist.  ``point-data`` carries the first-order data at
 the base point directly; ``affine`` carries constraint matrices plus the
-point, from which the data is evaluated.  Matrices are row-major arrays
-of arrays, all numbers decimal.  Unknown field names are rejected with a
-diagnostic naming the field, so typos surface as parse errors.
+point, from which the data is evaluated.  A vector is a JSON array of
+numbers, a matrix a row-major array of such arrays, and a tolerance a
+number; strings and booleans are rejected, never converted, and ``null``
+for an array field means the field is absent.  Unknown field names are
+rejected with a diagnostic naming the field, so typos surface as parse
+errors.
 """
 
 from __future__ import annotations
@@ -16,16 +19,17 @@ from typing import Optional
 from .errors import DimensionMismatch, ParseError
 from .model import AffineInstance, FirstOrderData, MultiplierVector, Tolerances, evaluate_affine
 
-_POINT_KEYS = {
-    "mode", "n", "l", "m", "p", "grad_f", "g_vals", "grad_g", "h_vals", "grad_h",
-    "G_vals", "grad_G", "H_vals", "grad_H", "tolerances",
+# (vector fields, matrix fields) of each document kind
+_ARRAYS = {
+    "point-data": (("grad_f", "g_vals", "h_vals", "G_vals", "H_vals"),
+                   ("grad_g", "grad_h", "grad_G", "grad_H")),
+    "affine": (("c", "b_g", "b_h", "b_G", "b_H", "x_bar"), ("Q", "A_g", "A_h", "A_G", "A_H")),
+    "multipliers": (("lambda", "eta", "mu", "nu"), ()),
 }
-_AFFINE_KEYS = {
-    "mode", "Q", "c", "A_g", "b_g", "A_h", "b_h", "A_G", "b_G", "A_H", "b_H",
-    "x_bar", "tolerances",
-}
+_POINT_KEYS = {"mode", "n", "l", "m", "p", "tolerances", *sum(_ARRAYS["point-data"], ())}
+_AFFINE_KEYS = {"mode", "tolerances", *sum(_ARRAYS["affine"], ())}
 _TOL_KEYS = {"active_tol", "feas_tol", "solver_tol", "cert_tol"}
-_MULT_KEYS = {"lambda", "eta", "mu", "nu"}
+_MULT_KEYS = set(_ARRAYS["multipliers"][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,15 +59,29 @@ def _reject_unknown(doc: dict, known: set, where: str) -> None:
 
 
 def _require(doc: dict, key: str, where: str):
-    if key not in doc:
+    if doc.get(key) is None:
         raise ParseError(f"{where}: missing required field '{key}'")
     return doc[key]
 
 
-def _number_list(value, key: str):
-    if not isinstance(value, list) or any(isinstance(v, (list, dict, str, bool)) for v in value):
-        raise ParseError(f"field '{key}' must be a flat array of numbers")
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _check_numbers(doc: dict, kind: str, where: str) -> None:
+    """Reject any array field of ``kind`` that is not numbers only; null is absent."""
+    vectors, matrices = _ARRAYS[kind]
+    for key in vectors:
+        if doc.get(key) is not None and not _is_vector(doc[key]):
+            raise ParseError(f"{where}: field '{key}' must be an array of numbers")
+    for key in matrices:
+        value = doc.get(key)
+        if value is not None and not (isinstance(value, list) and all(map(_is_vector, value))):
+            raise ParseError(f"{where}: field '{key}' must be an array of arrays of numbers")
 
 
 def _parse_tolerances(doc: dict, where: str) -> Optional[Tolerances]:
@@ -73,9 +91,12 @@ def _parse_tolerances(doc: dict, where: str) -> Optional[Tolerances]:
     if not isinstance(block, dict):
         raise ParseError(f"{where}: 'tolerances' must be an object")
     _reject_unknown(block, _TOL_KEYS, f"{where}.tolerances")
+    for key, value in block.items():
+        if not _is_number(value):
+            raise ParseError(f"{where}.tolerances: field '{key}' must be a number")
     try:
         return Tolerances(**{k: float(v) for k, v in block.items()})
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{where}.tolerances: {exc}") from exc
 
 
@@ -85,6 +106,7 @@ def load_problem(path: str) -> ProblemInput:
     if mode not in ("point-data", "affine"):
         raise ParseError(f"{path}: field 'mode' must be 'point-data' or 'affine', got {mode!r}")
     _reject_unknown(doc, _POINT_KEYS if mode == "point-data" else _AFFINE_KEYS, path)
+    _check_numbers(doc, mode, path)
     try:
         if mode == "point-data":
             data = FirstOrderData(
@@ -92,7 +114,7 @@ def load_problem(path: str) -> ProblemInput:
                 l=_require(doc, "l", path),
                 m=_require(doc, "m", path),
                 p=_require(doc, "p", path),
-                grad_f=_number_list(_require(doc, "grad_f", path), "grad_f"),
+                grad_f=_require(doc, "grad_f", path),
                 g_vals=doc.get("g_vals"),
                 grad_g=doc.get("grad_g"),
                 h_vals=doc.get("h_vals"),
@@ -104,15 +126,15 @@ def load_problem(path: str) -> ProblemInput:
             )
         else:
             inst = AffineInstance(
-                c=_number_list(_require(doc, "c", path), "c"),
+                c=_require(doc, "c", path),
                 Q=doc.get("Q"),
                 A_g=doc.get("A_g"), b_g=doc.get("b_g"),
                 A_h=doc.get("A_h"), b_h=doc.get("b_h"),
                 A_G=doc.get("A_G"), b_G=doc.get("b_G"),
                 A_H=doc.get("A_H"), b_H=doc.get("b_H"),
             )
-            data = evaluate_affine(inst, _number_list(_require(doc, "x_bar", path), "x_bar"))
-    except (DimensionMismatch, ValueError, TypeError) as exc:
+            data = evaluate_affine(inst, _require(doc, "x_bar", path))
+    except (DimensionMismatch, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return ProblemInput(mode=mode, data=data, tolerances=_parse_tolerances(doc, path))
 
@@ -120,18 +142,14 @@ def load_problem(path: str) -> ProblemInput:
 def load_multipliers(path: str, data: FirstOrderData) -> MultiplierVector:
     doc = _load_json(path)
     _reject_unknown(doc, _MULT_KEYS, path)
+    _check_numbers(doc, "multipliers", path)
+    sizes = {"lambda": data.l, "eta": data.m, "mu": data.p, "nu": data.p}
     try:
-        mult = MultiplierVector(
-            lam=_number_list(doc.get("lambda", [0.0] * data.l), "lambda"),
-            eta=_number_list(doc.get("eta", [0.0] * data.m), "eta"),
-            mu=_number_list(doc.get("mu", [0.0] * data.p), "mu"),
-            nu=_number_list(doc.get("nu", [0.0] * data.p), "nu"),
-        )
-    except (DimensionMismatch, ValueError, TypeError) as exc:
+        mult = MultiplierVector(*[[0.0] * size if doc.get(key) is None else doc[key]
+                                  for key, size in sizes.items()])
+    except (DimensionMismatch, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    # nu has mu's length, which MultiplierVector checked
-    for key, values, size in (("lambda", mult.lam, data.l), ("eta", mult.eta, data.m),
-                              ("mu", mult.mu, data.p)):
+    for (key, size), values in zip(sizes.items(), (mult.lam, mult.eta, mult.mu, mult.nu)):
         if values.size != size:
             raise ParseError(f"{path}: field '{key}' must have length {size}, got {values.size}")
     return mult

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
-from .model import DEFAULT_SOLVER_TOL
+from .model import DEFAULT_SOLVER_TOL, _frozen
 
 PIVOT_TOL = 1e-10
 
@@ -46,39 +46,14 @@ class LpOutcome:
     objective_value: Optional[float] = None
 
 
-def _matrix(M, ncols: int, name: str) -> np.ndarray:
-    if M is None:
-        return np.zeros((0, ncols))
-    A = np.asarray(M, dtype=float)
-    if A.size == 0:
-        # a (k, 0) matrix over zero variables still poses k rows
-        return np.zeros((A.shape[0] if A.ndim == 2 and ncols == 0 else 0, ncols))
-    A = np.atleast_2d(A)
-    if A.shape[1] != ncols:
-        raise DimensionMismatch(f"{name}: expected {ncols} columns, got {A.shape[1]}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name}: entries must be finite")
-    return A
-
-
-def _vector(v, length: int, name: str) -> np.ndarray:
-    if v is None:
-        arr = np.zeros(length)
-    else:
-        arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size != length:
-        raise DimensionMismatch(f"{name}: expected length {length}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min objective'z  s.t.  eq_matrix z = eq_rhs, ineq_matrix z <= ineq_rhs, z >= lower.
 
     ``lower`` holds one lower bound per variable, ``-inf`` for a free
     one; variables default to free.  An upper bound is a ``<=`` row.
+    Every array is stored as a read-only float copy, so writing into the
+    caller's arrays later does not change the program.
     """
 
     objective: np.ndarray
@@ -89,27 +64,22 @@ class LinearProgram:
     lower: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("objective: entries must be finite")
+        c = _frozen(self.objective, (None,), "objective")
         d = c.size
-        A_eq = _matrix(self.eq_matrix, d, "eq_matrix")
-        b_eq = _vector(self.eq_rhs, A_eq.shape[0], "eq_rhs")
-        A_ub = _matrix(self.ineq_matrix, d, "ineq_matrix")
-        b_ub = _vector(self.ineq_rhs, A_ub.shape[0], "ineq_rhs")
-        if self.lower is None:
-            lower = np.full(d, -np.inf)
-        else:
-            lower = np.asarray(self.lower, dtype=float).reshape(-1)
-            if lower.size != d:
-                raise DimensionMismatch(f"lower: expected length {d}, got {lower.size}")
-            if not np.all(lower < np.inf):  # also false for NaN
-                raise ValueError("lower: entries must be finite or -inf")
+        A_eq = _frozen(self.eq_matrix, (None, d), "eq_matrix")
+        A_ub = _frozen(self.ineq_matrix, (None, d), "ineq_matrix")
+        lower = (np.full(d, -np.inf) if self.lower is None
+                 else np.array(self.lower, dtype=float).reshape(-1))
+        if lower.size != d:
+            raise DimensionMismatch(f"lower: expected length {d}, got {lower.size}")
+        if not (lower < np.inf).all():  # also false for NaN
+            raise ValueError("lower: entries must be finite or -inf")
+        lower.flags.writeable = False
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", A_eq)
-        object.__setattr__(self, "eq_rhs", b_eq)
+        object.__setattr__(self, "eq_rhs", _frozen(self.eq_rhs, (A_eq.shape[0],), "eq_rhs"))
         object.__setattr__(self, "ineq_matrix", A_ub)
-        object.__setattr__(self, "ineq_rhs", b_ub)
+        object.__setattr__(self, "ineq_rhs", _frozen(self.ineq_rhs, (A_ub.shape[0],), "ineq_rhs"))
         object.__setattr__(self, "lower", lower)
 
     @property
@@ -159,7 +129,9 @@ def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
     is in standard form.  Phase 1 minimizes the sum of the artificials,
     then phase 2 the objective on the same tableau.  A phase-1 optimum
     within ``tol * (1 + max|b|)`` of zero means feasible, even when a
-    roundoff reduced cost ends phase 1 as "unbounded".  The two phases
+    roundoff reduced cost ends phase 1 as "unbounded"; likewise, when
+    every cost is >= 0, a phase-2 "unbounded" within
+    ``tol * (1 + max|b|)`` of a zero objective is optimal.  The two phases
     share a cap of 50 * (#columns + #rows) pivots; exceeding it raises
     :class:`NumericalFailure`, which is distinct from infeasibility.
     """
@@ -234,7 +206,12 @@ def lp_solve(lp: LinearProgram, tol: float = DEFAULT_SOLVER_TOL) -> LpOutcome:
         for r, bc in enumerate(basis):
             if c_std[bc] != 0.0:
                 T[-1] -= c_std[bc] * T[r]
-        if _simplex(T, basis, tol, budget) == "unbounded":
+        # With every cost >= 0 the objective is bounded below by 0, so
+        # "unbounded" at a zero objective is a roundoff reduced cost, and
+        # the basis is optimal.
+        if _simplex(T, basis, tol, budget) == "unbounded" and (
+                (c_std < 0.0).any()
+                or -T[-1, -1] > tol * (1.0 + np.abs(T[:-1, -1]).max(initial=0.0))):
             return LpOutcome(LpStatus.UNBOUNDED)
 
     x_std = np.zeros(art_start)
@@ -286,17 +263,18 @@ def lp_feasible(eq_matrix=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None,
 
 @dataclass(frozen=True, eq=False)
 class MinNormProblem:
-    """Vertices of a polytope plus coordinates constrained to be >= 0."""
+    """Vertices of a polytope plus coordinates constrained to be >= 0.
+
+    The vertices are stored as a read-only float copy, one row per vertex.
+    """
 
     vertices: np.ndarray
     sign_constraints: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        V = _frozen(self.vertices, (None, None), "vertices")
         if V.shape[0] < 1:
             raise DimensionMismatch("at least one vertex is required")
-        if not np.all(np.isfinite(V)):
-            raise ValueError("vertices must be finite")
         sc = tuple(int(i) for i in self.sign_constraints)
         for i in sc:
             if not 0 <= i < V.shape[1]:

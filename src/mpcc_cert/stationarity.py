@@ -559,9 +559,10 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
     witness is the combination of the branch points by
     :func:`schinabeck_combine`, which takes one point per branch (kind
     M).  So the kind is S exactly when an S-multiplier exists.  With no
-    biactive index the one branch point goes through the combiner and
-    the kind is M.  The per-branch table is expanded from the visit's
-    record only when ``branch_table`` is read.
+    biactive index the S sign conditions are vacuous, so the one branch
+    point is an S-multiplier and the kind is S, with no combiner.  The
+    per-branch table is expanded from the visit's record only when
+    ``branch_table`` is read.
 
     The returned witness always satisfies the base stationarity system
     (see :meth:`ResidualReport.system_ok`) at ``cert_tol``, and an S
@@ -594,7 +595,7 @@ def certify_m_stationarity(data: FirstOrderData, tol: Tolerances = Tolerances(),
 
     # leaf 0's point holds every leaf exactly when it is an S-multiplier,
     # which is itself an M-witness; the combiner runs only when none exists
-    if bi and walk.boxes[0] == (0, 0):
+    if walk.boxes[0] == (0, 0):
         kind, combine, witness = VerdictKind.S, None, walk.points[0]
     else:
         alphas, owner = walk.expand()

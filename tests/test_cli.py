@@ -73,6 +73,61 @@ class TestProblemFile:
         problem = load_problem(path)
         assert problem.tolerances.cert_tol == 1e-5
 
+    # one well-formed file of each kind, every numeric field present
+    WELL_FORMED = {
+        "point-data": {
+            "mode": "point-data", "n": 1, "l": 1, "m": 1, "p": 1,
+            "grad_f": [0.0], "g_vals": [-1.0], "grad_g": [[1.0]], "h_vals": [0.0],
+            "grad_h": [[0.0]], "G_vals": [0.0], "grad_G": [[0.0]], "H_vals": [1.0],
+            "grad_H": [[0.0]], "tolerances": {"active_tol": 1e-8, "feas_tol": 1e-8,
+                                              "solver_tol": 1e-9, "cert_tol": 1e-7}},
+        "affine": {
+            "mode": "affine", "Q": [[0.0]], "c": [0.0], "A_g": [[1.0]], "b_g": [-1.0],
+            "A_h": [[0.0]], "b_h": [0.0], "A_G": [[0.0]], "b_G": [0.0], "A_H": [[0.0]],
+            "b_H": [1.0], "x_bar": [0.0]},
+        "multipliers": {"lambda": [0.0], "eta": [0.0], "mu": [0.0], "nu": [0.0]},
+    }
+    NUMERIC_FIELDS = [
+        (kind, key) for kind, doc in WELL_FORMED.items() for key, value in doc.items()
+        if isinstance(value, list)] + [
+        ("point-data", f"tolerances.{key}") for key in WELL_FORMED["point-data"]["tolerances"]]
+
+    @pytest.mark.parametrize("bad", ["0.0", True], ids=["string", "true"])
+    @pytest.mark.parametrize("kind, key", NUMERIC_FIELDS,
+                             ids=[f"{kind}-{key}" for kind, key in NUMERIC_FIELDS])
+    def test_numeric_fields_take_numbers_only(self, tmp_path, capsys, kind, key, bad):
+        # numpy and float() would turn "0.0" and true into numbers; every
+        # numeric field must reject them, naming the field
+        docs = json.loads(json.dumps(self.WELL_FORMED))
+        target = docs[kind]
+        if key.startswith("tolerances."):
+            target, key = target["tolerances"], key[len("tolerances."):]
+        field = target[key]
+        if not isinstance(field, list):
+            target[key] = bad
+        elif isinstance(field[0], list):
+            field[0][0] = bad
+        else:
+            field[0] = bad
+        if kind == "multipliers":
+            argv = ["check", write_json(tmp_path, "problem.json", docs["point-data"]),
+                    write_json(tmp_path, "mult.json", docs[kind])]
+        else:
+            argv = ["certify", write_json(tmp_path, "problem.json", docs[kind])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+
+    @pytest.mark.parametrize("field", ["grad_f", "tolerances"])
+    def test_integer_too_large_for_a_float_exit_one(self, tmp_path, capsys, field):
+        doc = json.loads(json.dumps(self.WELL_FORMED["point-data"]))
+        if field == "grad_f":
+            doc["grad_f"] = [10 ** 400]
+        else:
+            doc["tolerances"]["cert_tol"] = 10 ** 400
+        assert main(["certify", write_json(tmp_path, "problem.json", doc)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_multiplier_length_check(self, tmp_path):
         problem = load_problem(f"{PROBLEMS}/bilinear_min.json")
         path = write_json(tmp_path, "mult.json", {"mu": [1.0, 2.0], "nu": [1.0]})
@@ -147,9 +202,11 @@ class TestCertifyCommand:
         assert doc["witness"] is None
 
     def test_kkt_exit_zero(self, capsys):
+        # no biactive index: the S sign conditions are vacuous
         assert main(["certify", f"{PROBLEMS}/kkt_only.json", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["verdict"] == "M"
+        assert doc["verdict"] == "S"
+        assert doc["combiner"] is None
         assert doc["witness"]["lambda"] == pytest.approx([1.0], abs=1e-9)
 
     def test_infeasible_point_exit_three(self, tmp_path, capsys):
@@ -231,7 +288,7 @@ class TestCertifyCommand:
             "m_exists", "witness", "eps", "consistent_with_verdict"]
 
     @pytest.mark.parametrize("grad_f, code, verdict", [
-        ([0.0], 0, "M"), ([1.0], 2, "branch-infeasible")])
+        ([0.0], 0, "S"), ([1.0], 2, "branch-infeasible")])
     def test_no_constraint_rows(self, tmp_path, capsys, grad_f, code, verdict):
         # no active g, no h and p = 0: every polar LP has zero columns
         path = write_json(tmp_path, "free.json", {
@@ -240,6 +297,7 @@ class TestCertifyCommand:
         assert main(["certify", path, "--json", "--oracle"]) == code
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == verdict
+        assert doc["combiner"] is None
         assert doc["oracle"]["consistent_with_verdict"] is True
         assert main(["certify", path]) == code
         assert ("failed branch: alpha=()" in capsys.readouterr().out) == (code == 2)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from mpcc_cert import (
     DimensionMismatch,
     FirstOrderData,
     InfeasiblePoint,
+    LinearProgram,
+    MinNormProblem,
+    MultiplierVector,
     Tolerances,
     check_feasibility,
     classify_indices,
@@ -121,6 +126,11 @@ class TestEvaluateAffine:
         with pytest.raises(DimensionMismatch):
             evaluate_affine(inst, [1.0])
 
+    def test_non_finite_point_is_blamed_on_x(self):
+        inst = AffineInstance(c=[1.0, 1.0], A_g=[[1.0, 0.0]], b_g=[-1.0])
+        with pytest.raises(ValueError, match="^x: entries must be finite"):
+            evaluate_affine(inst, [np.inf, 0.0])
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_direct_formulas(self, seed):
@@ -200,6 +210,33 @@ class TestInvariants:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
             Tolerances(active_tol=-1e-9)
+
+    def test_rejects_non_finite_objective(self):
+        with pytest.raises(ValueError, match="^c: entries must be finite"):
+            AffineInstance(c=[np.nan, 1.0])
+
+    @pytest.mark.parametrize("make, fields", [
+        (functools.partial(FirstOrderData, n=1, l=1, m=0, p=1),
+         {"grad_f": [1.0], "g_vals": [-1.0], "grad_g": [[1.0]], "G_vals": [0.0],
+          "grad_G": [[1.0]], "H_vals": [0.0], "grad_H": [[-1.0]]}),
+        (AffineInstance, {"c": [1.0, 0.0], "Q": np.eye(2), "A_g": [[1.0, 0.0]], "b_g": [-1.0]}),
+        (MultiplierVector, {"lam": [1.0], "eta": [], "mu": [0.5], "nu": [-0.5]}),
+        (LinearProgram, {"objective": [1.0, 0.0], "eq_matrix": [[1.0, 1.0]], "eq_rhs": [1.0],
+                         "ineq_matrix": [[1.0, 0.0]], "ineq_rhs": [2.0],
+                         "lower": [0.0, -np.inf]}),
+        (MinNormProblem, {"vertices": [[1.0, 2.0], [3.0, -1.0]]}),
+    ], ids=["FirstOrderData", "AffineInstance", "MultiplierVector", "LinearProgram",
+            "MinNormProblem"])
+    def test_records_store_read_only_copies(self, make, fields):
+        given = {name: np.array(value, dtype=float) for name, value in fields.items()}
+        record = make(**given)
+        for name, arr in given.items():
+            stored = getattr(record, name)
+            assert not np.shares_memory(stored, arr), name
+            assert not stored.flags.writeable, name
+            before = stored.copy()
+            arr[...] = 7.0
+            assert np.array_equal(stored, before), name
 
     def test_arrays_are_frozen(self):
         data = make_data(G=[0.0], H=[0.0])

@@ -134,6 +134,24 @@ class TestLpSolve:
         assert np.abs(lp.eq_matrix @ out.solution - lp.eq_rhs).max() <= 1e-6
         assert (out.solution >= lower).all()
 
+    def test_phase_two_roundoff_unbounded_is_optimal(self):
+        # A branch polar LP of the row-scaled wide pool (wide (8, 103), rows
+        # scaled in [1e-3, 1e3]), frozen bit for bit: phase 2 stops as
+        # "unbounded" at an objective of about -1.9e-11 (zero), on a reduced
+        # cost of about -1.6e-8 whose column has no positive entry.  Every
+        # cost is >= 0 on nonnegative columns, so the objective is bounded
+        # below by 0 and the basis is optimal.
+        doc = json.loads((DATA / "phase2_roundoff_lp.json").read_text())
+        lower = np.array([-np.inf if v is None else v for v in doc["lower"]])
+        lp = LinearProgram(objective=doc["objective"], eq_matrix=doc["eq_matrix"],
+                           eq_rhs=doc["eq_rhs"], lower=lower)
+        assert (lp.objective >= 0.0).all() and (lower[lp.objective > 0.0] == 0.0).all()
+        out = lp_solve(lp)
+        assert out.status is LpStatus.OPTIMAL
+        assert np.abs(lp.eq_matrix @ out.solution - lp.eq_rhs).max() <= 1e-6
+        assert (out.solution >= lower).all()
+        assert 0.0 <= out.objective_value <= 1e-9 * (1.0 + np.abs(lp.eq_rhs).max())
+
     def test_negative_rhs_equality_flip(self):
         out = lp_solve(LinearProgram(
             objective=[1.0],

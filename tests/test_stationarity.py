@@ -463,7 +463,9 @@ class TestCertify:
         data = FirstOrderData(n=1, l=1, m=0, p=0, grad_f=[1.0],
                               g_vals=[0.0], grad_g=[[-1.0]])
         verdict = certify_m_stationarity(data)
-        assert verdict.kind is VerdictKind.M
+        # no biactive index: the S sign conditions are vacuous
+        assert verdict.kind is VerdictKind.S
+        assert verdict.combiner is None
         assert verdict.witness.lam[0] == pytest.approx(1.0, abs=1e-9)
         assert len(verdict.branch_table) == 1
 
@@ -476,7 +478,8 @@ class TestCertify:
 
         stationary = point([0.0])
         verdict = certify_m_stationarity(stationary)
-        assert verdict.kind is VerdictKind.M
+        assert verdict.kind is VerdictKind.S
+        assert verdict.combiner is None
         assert verdict.witness.lam.tolist() == [0.0] * l
         assert verdict.witness.eta.size == verdict.witness.mu.size == 0
         assert oracle_m_exists(stationary, classify_indices(stationary))[0] is True
